@@ -274,10 +274,7 @@ def main(argv=None) -> int:
     except (fileio.RotationFormatError, fileio.CloudFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except fileio.RotationInvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (so3.DegenerateMatrix, registration.AttemptCapExceeded) as exc:
+    except (so3.NotARotation, so3.DegenerateMatrix, registration.AttemptCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (EmptyInput, registration.TooFewPoints, ValueError) as exc:

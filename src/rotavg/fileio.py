@@ -25,11 +25,6 @@ __all__ = [
     "load_cloud",
 ]
 
-# How far from a perfect rotation a parsed mat9 row may be before it is
-# rejected (or, with repair=True, projected back onto a rotation).
-_ORTHO_TOL = 1e-6
-
-
 class RotationFormatError(ValueError):
     """A rotation file line could not be parsed.  .line is 1-based."""
 
@@ -38,7 +33,7 @@ class RotationFormatError(ValueError):
         self.line = line
 
 
-class RotationInvariantError(ValueError):
+class RotationInvariantError(so3.NotARotation):
     """A parsed value is not a valid rotation.  .line is 1-based."""
 
     def __init__(self, line: int, message: str) -> None:
@@ -59,17 +54,6 @@ def _data_lines(path):
                 yield lineno, text
 
 
-def _quat_to_matrix(w: float, x: float, y: float, z: float) -> np.ndarray:
-    """Rotation matrix of a unit quaternion (w, x, y, z)."""
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-
-
 def read_rotations(path, fmt: str = "mat9", repair: bool = False):
     """Read a rotation list from a text file.
 
@@ -87,13 +71,14 @@ def read_rotations(path, fmt: str = "mat9", repair: bool = False):
     Raises:
         RotationFormatError: a line has the wrong field count or a
             non-numeric field (or a zero-norm quaternion).
-        RotationInvariantError: a mat9 row is not a rotation and repair
-            is off (or the row is too degenerate to repair).
+        RotationInvariantError: a mat9 row is further than
+            so3.ROTATION_TOL from a rotation and repair is off (or the row
+            is too degenerate to repair).
     """
     if fmt not in ("mat9", "quat"):
         raise ValueError(f"fmt must be 'mat9' or 'quat', got {fmt!r}")
     n_fields = 9 if fmt == "mat9" else 4
-    rotations = []
+    rotations = []  # matrices, or for quat the raw (w, x, y, z) rows
     repaired = 0
     for lineno, text in _data_lines(path):
         fields = text.split()
@@ -108,14 +93,12 @@ def read_rotations(path, fmt: str = "mat9", repair: bool = False):
         if not all(np.isfinite(values)):
             raise RotationFormatError(lineno, "non-finite value")
         if fmt == "quat":
-            norm = float(np.linalg.norm(values))
-            if norm < 1e-12:
+            if float(np.linalg.norm(values)) < 1e-12:
                 raise RotationFormatError(lineno, "zero-norm quaternion")
-            w, x, y, z = (v / norm for v in values)
-            rotations.append(_quat_to_matrix(w, x, y, z))
+            rotations.append(values)
             continue
         r = np.array(values).reshape(3, 3)
-        if so3.is_rotation(r, tol=_ORTHO_TOL):
+        if so3.is_rotation(r, tol=so3.ROTATION_TOL):
             rotations.append(r)
             continue
         if not repair:
@@ -129,6 +112,8 @@ def read_rotations(path, fmt: str = "mat9", repair: bool = False):
                 lineno, "matrix is too degenerate to repair"
             ) from None
         repaired += 1
+    if fmt == "quat":
+        return so3.quaternion_to_matrix(np.array(rotations).reshape(-1, 4)), 0
     return np.array(rotations).reshape(-1, 3, 3), repaired
 
 

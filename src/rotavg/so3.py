@@ -13,8 +13,10 @@ import numpy as np
 __all__ = [
     "SMALL_ANGLE",
     "NEAR_PI_BAND",
+    "ROTATION_TOL",
     "NotSkewSymmetric",
     "DegenerateMatrix",
+    "NotARotation",
     "hat",
     "vee",
     "exp_map",
@@ -23,6 +25,9 @@ __all__ = [
     "chordal_distance",
     "project_to_so3",
     "is_rotation",
+    "check_rotations",
+    "matrix_to_quaternion",
+    "quaternion_to_matrix",
 ]
 
 # Below this angle the sin/cos coefficient ratios of the exponential are
@@ -32,6 +37,10 @@ SMALL_ANGLE = 1e-8
 # Width of the band below pi where the log recovers the axis from the
 # symmetric part of the matrix instead of the vanishing skew part.
 NEAR_PI_BAND = 1e-6
+
+# How far from a perfect rotation (orthogonality residual and determinant,
+# as in is_rotation) an input matrix may be and still be accepted as one.
+ROTATION_TOL = 1e-6
 
 # Singular-value tolerance below which the nearest-rotation problem stops
 # having a unique answer.
@@ -44,6 +53,10 @@ class NotSkewSymmetric(ValueError):
 
 class DegenerateMatrix(ValueError):
     """Matrix is too close to rank deficiency for a unique nearest rotation."""
+
+
+class NotARotation(ValueError):
+    """Input that must be a rotation is non-finite or fails is_rotation."""
 
 
 def _check_mat3(m: np.ndarray) -> None:
@@ -251,6 +264,100 @@ def is_rotation(m: np.ndarray, tol: float = 1e-9) -> bool | np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim < 2 or m.shape[-2:] != (3, 3):
         return False
-    orth = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1))
-    ok = (orth <= tol) & (np.abs(np.linalg.det(m) - 1.0) <= tol)
+    # Written out entry by entry: on a stack this is several times faster
+    # than a batched matmul and LAPACK determinant.  m @ m.T - I has the
+    # same Frobenius norm as m.T @ m - I (the two Gram matrices share their
+    # eigenvalues).
+    a, b, c, d, e, f, g, h, i = np.moveaxis(m.reshape(m.shape[:-2] + (9,)), -1, 0)
+    s00 = a * a + b * b + c * c - 1.0
+    s11 = d * d + e * e + f * f - 1.0
+    s22 = g * g + h * h + i * i - 1.0
+    s01 = a * d + b * e + c * f
+    s02 = a * g + b * h + c * i
+    s12 = d * g + e * h + f * i
+    orth = np.sqrt(s00 * s00 + s11 * s11 + s22 * s22 + 2.0 * (s01 * s01 + s02 * s02 + s12 * s12))
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    ok = (orth <= tol) & (np.abs(det - 1.0) <= tol)
     return bool(ok) if np.ndim(ok) == 0 else ok
+
+
+def check_rotations(m: np.ndarray, tol: float = ROTATION_TOL) -> None:
+    """Raise unless every matrix in m is finite and passes is_rotation(tol).
+
+    Raises:
+        NotARotation: naming the first offending matrix and what is wrong.
+    """
+    m = np.asarray(m, dtype=float)
+    _check_mat3(m)
+    ok = np.reshape(is_rotation(m, tol=tol), -1)
+    if ok.all():
+        return
+    k = int(np.argmin(ok))
+    if not np.isfinite(m.reshape(-1, 3, 3)[k]).all():
+        raise NotARotation(f"matrix {k} has a non-finite entry")
+    raise NotARotation(
+        f"matrix {k} is not a rotation (orthogonality or determinant off by more than {tol:.0e})"
+    )
+
+
+def matrix_to_quaternion(r: np.ndarray) -> np.ndarray:
+    """Unit quaternion (w, x, y, z) of each rotation, with w >= 0.
+
+    q and -q give the same rotation; w >= 0 picks one of them (at w == 0
+    either sign may come back).  The symmetric 4x4 matrix K built from the
+    entries equals 4 q q^T on a rotation, so its row with the largest
+    diagonal entry is q up to a positive scale and a sign, and is never
+    small.  Normalising that row makes the result a unit quaternion even for
+    matrices that are rotations only up to roundoff.
+
+    Args:
+        r: array with trailing dimensions (3, 3).
+
+    Returns:
+        Array with trailing dimension 4.
+    """
+    r = np.asarray(r, dtype=float)
+    _check_mat3(r)
+    R = r.reshape(-1, 3, 3)
+    tr = np.einsum("nii->n", R)
+    d0, d1, d2 = R[:, 0, 0], R[:, 1, 1], R[:, 2, 2]
+    sx, sy, sz = R[:, 2, 1] - R[:, 1, 2], R[:, 0, 2] - R[:, 2, 0], R[:, 1, 0] - R[:, 0, 1]
+    pxy, pxz, pyz = R[:, 0, 1] + R[:, 1, 0], R[:, 0, 2] + R[:, 2, 0], R[:, 1, 2] + R[:, 2, 1]
+    K = np.stack(
+        [
+            np.stack([1.0 + tr, sx, sy, sz], -1),
+            np.stack([sx, 1.0 + 2.0 * d0 - tr, pxy, pxz], -1),
+            np.stack([sy, pxy, 1.0 + 2.0 * d1 - tr, pyz], -1),
+            np.stack([sz, pxz, pyz, 1.0 + 2.0 * d2 - tr], -1),
+        ],
+        -2,
+    )
+    k = np.argmax(np.einsum("nii->ni", K), axis=-1)
+    q = K[np.arange(len(K)), k]
+    q /= np.linalg.norm(q, axis=-1, keepdims=True)
+    q[q[:, 0] < 0.0] *= -1.0
+    return q.reshape(r.shape[:-2] + (4,))
+
+
+def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
+    """Rotation matrix of each quaternion (w, x, y, z), normalised first.
+
+    Args:
+        q: array with trailing dimension 4 and no zero rows.
+
+    Returns:
+        Array with trailing dimensions (3, 3).
+    """
+    q = np.asarray(q, dtype=float)
+    if q.shape[-1:] != (4,):
+        raise ValueError(f"expected trailing dimension 4, got shape {q.shape}")
+    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
+    return np.stack(
+        [
+            np.stack([1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)], -1),
+            np.stack([2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)], -1),
+            np.stack([2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)], -1),
+        ],
+        -2,
+    )

@@ -164,6 +164,34 @@ def test_proxy_empty_input():
         proxy_initialize(np.empty((0, 3, 3)))
 
 
+def _stack_with_one_bad_sample(bad_index, bad_value):
+    """500 samples at 90% outliers, with one sample replaced by bad_value."""
+    rng = np.random.default_rng(54)
+    samples, _ = contaminated_set(rng, 500, 450, math.radians(5.0))
+    samples[bad_index] = bad_value
+    return samples
+
+
+def test_scaled_identity_is_rejected_not_chosen():
+    # 6 - 2<3I, R> clips to zero for any rotation R, so before inputs were
+    # checked 3I won the proxy with zero cost and dragged the estimate off
+    samples = _stack_with_one_bad_sample(7, 3.0 * np.eye(3))
+    for call in (proxy_initialize, robust_average, lambda s: select_inliers(np.eye(3), s)):
+        with pytest.raises(so3.NotARotation, match="matrix 7 is not a rotation"):
+            call(samples)
+
+
+def test_nan_sample_is_rejected():
+    nan_matrix = np.eye(3)
+    nan_matrix[1, 2] = np.nan
+    samples = _stack_with_one_bad_sample(3, nan_matrix)
+    for call in (proxy_initialize, robust_average, chordal_l2_mean):
+        with pytest.raises(so3.NotARotation, match="matrix 3 has a non-finite entry"):
+            call(samples)
+    with pytest.raises(so3.NotARotation):
+        weiszfeld_geodesic_l1(samples, [0, 1], np.eye(3))
+
+
 # --------------------------------------------------------------------------
 # inlier selection
 

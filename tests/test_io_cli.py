@@ -94,6 +94,29 @@ def test_read_rotations_quat(tmp_path):
         read_rotations(path, fmt="euler")
 
 
+def test_read_rotations_quat_read_back(tmp_path):
+    rng = np.random.default_rng(92)
+    rots = random_rotations(rng, 40)
+    q = so3.matrix_to_quaternion(rots)
+    q[::3] *= -2.5  # sign and scale are free in the file
+    path = tmp_path / "q.txt"
+    path.write_text("# w x y z\n" + "".join(" ".join(f"{v:.17g}" for v in row) + "\n" for row in q))
+    back, repaired = read_rotations(path, fmt="quat")
+    assert repaired == 0
+    assert back.shape == (40, 3, 3)
+    assert np.abs(back - rots).max() < 1e-14
+    path.write_text("")
+    assert read_rotations(path, fmt="quat")[0].shape == (0, 3, 3)
+
+
+def test_rotation_invariant_error_is_not_a_rotation():
+    # one error type for "not a rotation", whether it comes from a file
+    # line or from a library call
+    assert issubclass(RotationInvariantError, so3.NotARotation)
+    err = RotationInvariantError(4, "bad")
+    assert err.line == 4 and "line 4" in str(err)
+
+
 def test_read_rotations_repair(tmp_path):
     rng = np.random.default_rng(91)
     good = random_rotations(rng, 1)[0]

@@ -268,3 +268,85 @@ def test_is_rotation_rejects_imposters():
     assert not so3.is_rotation(np.diag([1.0, 1.0, -1.0]))  # reflection
     assert not so3.is_rotation(1.01 * R)  # scaled
     assert not so3.is_rotation(R + 1e-6)  # drifted
+
+
+def test_is_rotation_matches_matmul_and_det():
+    rng = np.random.default_rng(23)
+    m = random_rotations(rng, 200) + rng.normal(0.0, 1e-7, size=(200, 3, 3))
+    orth = np.linalg.norm(np.swapaxes(m, -1, -2) @ m - np.eye(3), axis=(-2, -1))
+    det = np.linalg.det(m)
+    for tol in (1e-9, 1e-7, 1e-6):
+        expected = (orth <= tol) & (np.abs(det - 1.0) <= tol)
+        clear = (np.abs(orth - tol) > 1e-12) & (np.abs(np.abs(det - 1.0) - tol) > 1e-12)
+        assert np.array_equal(so3.is_rotation(m, tol=tol)[clear], expected[clear])
+    assert so3.is_rotation(m[0].reshape(1, 1, 3, 3)).shape == (1, 1)
+    assert not so3.is_rotation(np.full((3, 3), np.nan))
+
+
+def test_check_rotations_names_the_offender():
+    rng = np.random.default_rng(24)
+    R = random_rotations(rng, 5)
+    so3.check_rotations(R)
+    so3.check_rotations(np.empty((0, 3, 3)))
+    so3.check_rotations(R + 0.5 * so3.ROTATION_TOL / 3.0)  # within tolerance
+    bad = R.copy()
+    bad[2] *= 3.0
+    with pytest.raises(so3.NotARotation, match="matrix 2 is not a rotation"):
+        so3.check_rotations(bad)
+    bad = R.copy()
+    bad[4, 0, 1] = np.inf
+    with pytest.raises(so3.NotARotation, match="matrix 4 has a non-finite entry"):
+        so3.check_rotations(bad)
+    with pytest.raises(so3.NotARotation):
+        so3.check_rotations(np.diag([1.0, 1.0, -1.0]))  # reflection
+    assert issubclass(so3.NotARotation, ValueError)
+
+
+# --------------------------------------------------------------------------
+# quaternions
+
+
+def _near_pi_rotations(rng, n):
+    axes = rng.normal(size=(n, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    gaps = np.concatenate([[0.0], 10.0 ** rng.uniform(-15.0, math.log10(so3.NEAR_PI_BAND), n - 1)])
+    return so3.exp_map(axes * (math.pi - gaps)[:, None])
+
+
+def test_quaternion_round_trip_including_near_pi():
+    rng = np.random.default_rng(25)
+    R = np.concatenate([random_rotations(rng, 500), _near_pi_rotations(rng, 200), np.eye(3)[None]])
+    q = so3.matrix_to_quaternion(R)
+    assert q.shape == (len(R), 4)
+    assert np.allclose(np.linalg.norm(q, axis=1), 1.0, atol=1e-15)
+    assert np.abs(so3.quaternion_to_matrix(q) - R).max() < 1e-14
+    # R -> q -> R -> q reproduces q up to sign (the sign is free only at w == 0)
+    q2 = so3.matrix_to_quaternion(so3.quaternion_to_matrix(q))
+    assert np.minimum(np.abs(q2 - q).max(axis=1), np.abs(q2 + q).max(axis=1)).max() < 1e-14
+
+
+def test_quaternion_sign_convention_and_oracle():
+    rng = np.random.default_rng(26)
+    R = np.concatenate([random_rotations(rng, 300), _near_pi_rotations(rng, 50)])
+    q = so3.matrix_to_quaternion(R)
+    assert (q[:, 0] >= 0.0).all()
+    for r, qq in zip(R, q):
+        ref = quat_from_matrix(r)
+        assert min(np.abs(ref - qq).max(), np.abs(ref + qq).max()) < 1e-14
+        if qq[0] > 1e-12:
+            assert np.abs(ref - qq).max() < 1e-14
+    assert np.array_equal(so3.matrix_to_quaternion(np.eye(3)), [1.0, 0.0, 0.0, 0.0])
+    half_turn_x = np.diag([1.0, -1.0, -1.0])
+    assert np.allclose(np.abs(so3.matrix_to_quaternion(half_turn_x)), [0.0, 1.0, 0.0, 0.0])
+
+
+def test_quaternion_to_matrix_normalises_and_ignores_sign():
+    rng = np.random.default_rng(27)
+    q = rng.normal(size=(50, 4))
+    R = so3.quaternion_to_matrix(q)
+    assert so3.is_rotation(R).all()
+    assert np.allclose(R, so3.quaternion_to_matrix(-3.0 * q), atol=1e-15)
+    assert np.allclose(R[7], quat_to_matrix(q[7]), atol=1e-15)
+    assert so3.quaternion_to_matrix(q.reshape(5, 10, 4)).shape == (5, 10, 3, 3)
+    with pytest.raises(ValueError):
+        so3.quaternion_to_matrix(np.ones(3))
