@@ -160,7 +160,7 @@ def _cmd_register(args: argparse.Namespace) -> int:
     )
     if args.out_hypotheses:
         fileio.write_rotations(args.out_hypotheses, hyps, header="hypothesis rotations, row-major")
-    result = robust_average(hyps)
+    result = robust_average(hyps, _tlud_config(args))
     payload = {
         "estimate": [float(v) for v in result.estimate.ravel()],
         "final_cost": float(result.final_cost),
@@ -254,7 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--attempt-cap", type=int, default=1_000_000, metavar="A",
                        help="max 3-point samples before giving up (default 1000000)")
     p_reg.add_argument("--workers", type=int, default=1, metavar="W",
-                       help="thread workers for harvesting (default 1; results identical)")
+                       help="accepted for compatibility and ignored: harvesting is serial")
+    _add_tlud_flags(p_reg)
     p_reg.add_argument("--out-hypotheses", metavar="PATH",
                        help="write harvested hypotheses as mat9 text")
     p_reg.add_argument("--out-json", metavar="PATH", help="also write the JSON result here")

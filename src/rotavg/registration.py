@@ -6,13 +6,15 @@ hypotheses from random 3-point samples (pre-filtered by a scale-free
 triangle side-ratio test) and then robust-averaging the hypothesis set.
 Correspondences are positional: point i in one cloud pairs with point i in
 the other.
+
+Harvesting runs its batches in one serial loop; harvest_hypotheses says
+why the thread pool went and why n_workers is still accepted.
 """
 
 from __future__ import annotations
 
+import logging
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +51,8 @@ _TAG_HARVEST = 1
 _TAG_SCENARIO = 2
 _TAG_NORMALIZE = 3
 
+_log = logging.getLogger(__name__)
+
 
 class TooFewPoints(ValueError):
     """Cloud has fewer points than the operation needs."""
@@ -64,7 +68,15 @@ class CollinearPoints(ValueError):
 
 class AttemptCapExceeded(RuntimeError):
     """Hypothesis harvesting ran out of attempts before filling its quota
-    (usually the ratio tolerance is too strict for the data)."""
+    (usually the ratio tolerance is too strict for the data).
+
+    .attempts and .accepted count the triples drawn and the hypotheses kept.
+    """
+
+    def __init__(self, message: str, attempts: int, accepted: int) -> None:
+        super().__init__(message)
+        self.attempts = attempts
+        self.accepted = accepted
 
 
 def _stream(seed: int, *tags: int) -> np.random.Generator:
@@ -75,6 +87,8 @@ def _as_cloud(points, min_points: int = 1) -> np.ndarray:
     p = np.asarray(points, dtype=float)
     if p.ndim != 2 or p.shape[1] != 3:
         raise ValueError(f"expected an (N, 3) point array, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("point array has non-finite coordinates")
     if len(p) < min_points:
         raise TooFewPoints(f"need at least {min_points} points, got {len(p)}")
     return p
@@ -208,17 +222,46 @@ def corrupt_cloud(points, scen: RegistrationScenario) -> np.ndarray:
     return q
 
 
-def _triangle_sides(p: np.ndarray) -> np.ndarray:
-    """Side lengths [|p1-p0|, |p2-p1|, |p0-p2|] for (..., 3, 3) point triples."""
-    d = np.stack(
-        [
-            p[..., 1, :] - p[..., 0, :],
-            p[..., 2, :] - p[..., 1, :],
-            p[..., 0, :] - p[..., 2, :],
-        ],
-        axis=-2,
-    )
-    return np.linalg.norm(d, axis=-1)
+def _ratio_test(cols: np.ndarray, idx: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(passed, degenerate) masks of the ratio test on triangles idx (m, 3).
+
+    cols is (6, n): source x, y, z rows, then target x, y, z rows.  Sides
+    [|p1-p0|, |p2-p1|, |p0-p2|] are sqrt(dx*dx + dy*dy + dz*dz) on 1-D
+    columns, bitwise np.linalg.norm of the gathered points.  A degenerate
+    row has a side shorter than _SIDE_TOL and never passes.
+    """
+    p = cols.take(idx.T, axis=1)  # (coordinate row, vertex, attempt)
+    sides = []
+    for a, b in ((1, 0), (2, 1), (0, 2)):
+        e = p[:, a] - p[:, b]
+        e *= e
+        sides.append(np.sqrt(e[0::3] + e[1::3] + e[2::3]))  # rows: source, target
+    degenerate = np.minimum(np.minimum(sides[0], sides[1]), sides[2]).min(axis=0) < _SIDE_TOL
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r0, r1, r2 = (side[1] / side[0] for side in sides)
+        spread = np.maximum(np.maximum(r0, r1), r2) / np.minimum(np.minimum(r0, r1), r2) - 1.0
+    return ~degenerate & (spread <= tol), degenerate
+
+
+def _align_batch(sp: np.ndarray, dp: np.ndarray) -> np.ndarray:
+    """Procrustes rotations for (k, 3, 3) corresponding point triples.
+
+    Triples whose points coincide or are collinear are dropped; the rest
+    keep their order.
+    """
+    sc = sp - sp.mean(axis=1, keepdims=True)
+    dc = dp - dp.mean(axis=1, keepdims=True)
+    srms = np.sqrt((sc * sc).sum(axis=(1, 2)) / 3.0)
+    drms = np.sqrt((dc * dc).sum(axis=(1, 2)) / 3.0)
+    apart = np.minimum(srms, drms) >= 1e-12  # else the points coincide
+    sc, dc, srms, drms = sc[apart], dc[apart], srms[apart], drms[apart]
+    H = np.einsum("bif,big->bfg", dc / drms[:, None, None], sc / srms[:, None, None])
+    U, sv, Vt = np.linalg.svd(H)
+    keep = sv[:, 1] > _COLLINEAR_TOL
+    U, Vt = U[keep], Vt[keep]
+    det = np.linalg.det(U @ Vt)
+    U[:, :, 2] *= np.where(det < 0.0, -1.0, 1.0)[:, None]
+    return U @ Vt
 
 
 def triangle_ratio_check(src, dst, tol: float = 0.1) -> bool:
@@ -233,12 +276,10 @@ def triangle_ratio_check(src, dst, tol: float = 0.1) -> bool:
     """
     s = np.asarray(src, dtype=float).reshape(3, 3)
     d = np.asarray(dst, dtype=float).reshape(3, 3)
-    ls = _triangle_sides(s)
-    ld = _triangle_sides(d)
-    if float(min(ls.min(), ld.min())) < _SIDE_TOL:
+    passed, degenerate = _ratio_test(np.concatenate([s, d], axis=1).T, np.array([[0, 1, 2]]), tol)
+    if degenerate[0]:
         raise DegenerateTriangle("triangle has a side shorter than 1e-9")
-    r = ld / ls
-    return bool(float(r.max() / r.min()) - 1.0 <= tol)
+    return bool(passed[0])
 
 
 def align_three_points(src, dst) -> np.ndarray:
@@ -255,17 +296,10 @@ def align_three_points(src, dst) -> np.ndarray:
     """
     s = np.asarray(src, dtype=float).reshape(3, 3)
     d = np.asarray(dst, dtype=float).reshape(3, 3)
-    sc = s - s.mean(axis=0)
-    dc = d - d.mean(axis=0)
-    srms = math.sqrt(float((sc * sc).sum()) / 3.0)
-    drms = math.sqrt(float((dc * dc).sum()) / 3.0)
-    if srms < 1e-12 or drms < 1e-12:
-        raise CollinearPoints("points coincide; no direction information")
-    H = (dc / drms).T @ (sc / srms)
-    sv = np.linalg.svd(H, compute_uv=False)
-    if sv[1] <= _COLLINEAR_TOL:
-        raise CollinearPoints("points are collinear; rotation about their axis is free")
-    return so3.project_to_so3(H)
+    R = _align_batch(s[None], d[None])
+    if not len(R):
+        raise CollinearPoints("points coincide or are collinear; rotation about their line is free")
+    return R[0]
 
 
 def _distinct_triples(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
@@ -280,38 +314,17 @@ def _distinct_triples(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
 
 
 def _harvest_batch(
-    src: np.ndarray, dst: np.ndarray, tol: float, rng: np.random.Generator, m: int
+    src: np.ndarray, dst: np.ndarray, cols: np.ndarray, tol: float, rng: np.random.Generator, m: int
 ) -> np.ndarray:
     """Vectorized equivalent of m passes of {sample triple, ratio-check, align}.
 
-    Degenerate or collinear triples count as failed checks and are dropped.
-    Accepted rotations keep attempt order.
+    cols is the _ratio_test layout of src and dst; only accepted triples are
+    gathered as points.  Degenerate or collinear triples count as failed
+    checks.  Accepted rotations keep attempt order.
     """
     idx = _distinct_triples(rng, len(src), m)
-    sp = src[idx]
-    dp = dst[idx]
-    ls = _triangle_sides(sp)
-    ld = _triangle_sides(dp)
-    ok = (ls.min(axis=1) >= _SIDE_TOL) & (ld.min(axis=1) >= _SIDE_TOL)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = ld / ls
-        spread = r.max(axis=1) / r.min(axis=1) - 1.0
-    ok &= spread <= tol  # NaNs from degenerate rows fail the comparison
-    sp = sp[ok]
-    dp = dp[ok]
-    if len(sp) == 0:
-        return np.empty((0, 3, 3))
-    sc = sp - sp.mean(axis=1, keepdims=True)
-    dc = dp - dp.mean(axis=1, keepdims=True)
-    srms = np.sqrt((sc * sc).sum(axis=(1, 2)) / 3.0)
-    drms = np.sqrt((dc * dc).sum(axis=(1, 2)) / 3.0)
-    H = np.einsum("bif,big->bfg", dc / drms[:, None, None], sc / srms[:, None, None])
-    U, sv, Vt = np.linalg.svd(H)
-    keep = sv[:, 1] > _COLLINEAR_TOL
-    U, Vt = U[keep], Vt[keep]
-    det = np.linalg.det(U @ Vt)
-    U[:, :, 2] *= np.where(det < 0.0, -1.0, 1.0)[:, None]
-    return U @ Vt
+    kept = idx[_ratio_test(cols, idx, tol)[0]]
+    return _align_batch(src[kept], dst[kept])
 
 
 def harvest_hypotheses(
@@ -326,10 +339,17 @@ def harvest_hypotheses(
 
     Repeats {sample 3 distinct indices uniformly, ratio-check the two
     triangles, align and keep the rotation if it passes} until the quota is
-    met.  Attempts are organized in fixed-size batches, each with its own
-    RNG stream derived from (scenario seed, batch index), and accepted
-    hypotheses concatenate in batch order: the output is identical for any
-    worker count and for repeated runs.
+    met.  Attempts run in fixed-size batches, one after another, each with
+    its own RNG stream derived from (scenario seed, batch index); accepted
+    hypotheses concatenate in batch order, so repeated runs give identical
+    output.  One DEBUG record on the "rotavg.registration" logger reports
+    batches, attempts, accepted count and acceptance rate.
+
+    The loop is serial.  The ratio test reads 1-D coordinate columns and
+    only the ~1% of triples that pass are gathered for Procrustes, so a
+    4096-attempt batch takes about 1 ms, and a thread pool over such batches
+    ran slower with two threads than with one.  n_workers is accepted for
+    compatibility and ignored.
 
     Raises:
         AttemptCapExceeded: when attempt_cap attempts cannot fill the quota.
@@ -343,44 +363,24 @@ def harvest_hypotheses(
     if batch_size < 1:
         raise ValueError(f"batch_size must be at least 1, got {batch_size}")
     need = scen.n_hypotheses
-
-    def batch_job(b: int) -> np.ndarray:
-        start = b * batch_size
-        m = min(batch_size, attempt_cap - start)
-        return _harvest_batch(s, d, scen.ratio_tolerance, _stream(scen.seed, _TAG_HARVEST, b), m)
-
+    cols = np.ascontiguousarray(np.concatenate([s, d], axis=1).T)
     chunks: list[np.ndarray] = []
-    total = 0
-    if n_workers <= 1:
-        b = 0
-        while total < need and b * batch_size < attempt_cap:
-            got = batch_job(b)
-            chunks.append(got)
-            total += len(got)
-            b += 1
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            pending: deque = deque()
-            next_b = 0
-
-            def top_up() -> None:
-                nonlocal next_b
-                while len(pending) < 2 * n_workers and next_b * batch_size < attempt_cap:
-                    pending.append(ex.submit(batch_job, next_b))
-                    next_b += 1
-
-            top_up()
-            while pending and total < need:
-                got = pending.popleft().result()  # consume strictly in batch order
-                chunks.append(got)
-                total += len(got)
-                top_up()
-            for fut in pending:
-                fut.cancel()
-    if total < need:
+    accepted = attempts = batches = 0
+    while accepted < need and attempts < attempt_cap:
+        m = min(batch_size, attempt_cap - attempts)
+        rng = _stream(scen.seed, _TAG_HARVEST, batches)
+        chunks.append(_harvest_batch(s, d, cols, scen.ratio_tolerance, rng, m))
+        accepted += len(chunks[-1])
+        attempts += m
+        batches += 1
+    rate = accepted / attempts
+    stats = dict(batches=batches, attempts=attempts, accepted=accepted, acceptance_rate=rate)
+    _log.debug("harvest %s", stats, extra=stats)
+    if accepted < need:
         raise AttemptCapExceeded(
-            f"collected {total}/{need} hypotheses within {attempt_cap} attempts; "
-            f"the ratio tolerance {scen.ratio_tolerance} may be too strict for this data"
+            f"collected {accepted}/{need} hypotheses within {attempt_cap} attempts; "
+            f"the ratio tolerance {scen.ratio_tolerance} may be too strict for this data",
+            attempts, accepted,
         )
     return np.concatenate(chunks)[:need]
 

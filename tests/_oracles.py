@@ -104,6 +104,47 @@ def horn_rotation(src, dst) -> np.ndarray:
     return quat_to_matrix(vecs[:, -1])
 
 
+def harvest_triples_scalar(src, dst, triples, tol: float, side_tol: float = 1e-9,
+                           flat_tol: float = 1e-9) -> list:
+    """Rotations of the index triples that pass the side-ratio test, one by one.
+
+    Sides by math.dist; a triple passes when no side of either triangle is
+    below side_tol and max(r)/min(r) - 1 <= tol for the ratios r = dst/src.
+    A triangle is collinear when twice its area, |(p1-p0) x (p2-p0)|, is
+    below flat_tol times its longest side squared; such triples are dropped.
+    The rest get Horn's rotation between the centered, RMS-normalized points.
+    """
+    out = []
+    for tri in triples:
+        a = [[float(v) for v in src[i]] for i in tri]
+        b = [[float(v) for v in dst[i]] for i in tri]
+        ls = [math.dist(a[1], a[0]), math.dist(a[2], a[1]), math.dist(a[0], a[2])]
+        ld = [math.dist(b[1], b[0]), math.dist(b[2], b[1]), math.dist(b[0], b[2])]
+        if min(ls + ld) < side_tol:
+            continue
+        r = [y / x for x, y in zip(ls, ld)]
+        if max(r) / min(r) - 1.0 > tol:
+            continue
+        if _collinear(a, max(ls), flat_tol) or _collinear(b, max(ld), flat_tol):
+            continue
+        out.append(horn_rotation(_unit_rms(a), _unit_rms(b)))
+    return out
+
+
+def _collinear(p, longest: float, flat_tol: float) -> bool:
+    u = [p[1][k] - p[0][k] for k in range(3)]
+    v = [p[2][k] - p[0][k] for k in range(3)]
+    cross = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+    return math.hypot(*cross) < flat_tol * longest * longest
+
+
+def _unit_rms(p) -> np.ndarray:
+    c = [sum(q[k] for q in p) / 3.0 for k in range(3)]
+    centered = [[q[k] - c[k] for k in range(3)] for q in p]
+    rms = math.sqrt(sum(v * v for q in centered for v in q) / 3.0)
+    return np.array(centered) / rms
+
+
 # --------------------------------------------------------------------------
 # scalar-loop re-evaluations (no vectorization, no shared code)
 

@@ -397,3 +397,18 @@ def test_cli_register_seeded_runs_match(tmp_path, capsys):
     first = capsys.readouterr().out
     assert main(argv) == 0
     assert capsys.readouterr().out == first
+
+
+def test_cli_register_tlud_flags(tmp_path, capsys):
+    argv = [
+        "register", STANDIN, "--outlier-fraction", "0.8", "--points", "300",
+        "--hypotheses", "300", "--seed", "4",
+    ]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    defaults = ["--epsilon-c", "0.5", "--delta", "0.001", "--it-max", "10", "--realternate", "0"]
+    assert main([*argv, *defaults]) == 0
+    assert capsys.readouterr().out == plain
+    assert main([*argv, "--epsilon-c", "0.2"]) == 0
+    tight = json.loads(capsys.readouterr().out)
+    assert tight["inlier_count"] != json.loads(plain)["inlier_count"]

@@ -1,10 +1,11 @@
+import logging
 import math
 import os
 
 import numpy as np
 import pytest
 
-from rotavg import so3
+from rotavg import registration, so3
 from rotavg.fileio import load_cloud
 from rotavg.registration import (
     AttemptCapExceeded,
@@ -311,6 +312,104 @@ def test_harvest_input_validation():
         harvest_hypotheses(cloud[:2], cloud[:2], scen)
     with pytest.raises(ValueError):
         harvest_hypotheses(cloud, cloud, scen, attempt_cap=0)
+
+
+def _oracle_batches(src, dst, seed, n_batches, tol=0.1, m=4096):
+    """Check _harvest_batch against the scalar oracle on the same triples.
+
+    Returns the (ratio-passed, degenerate, accepted) totals over the batches.
+    """
+    from _oracles import harvest_triples_scalar
+
+    cols = np.ascontiguousarray(np.concatenate([src, dst], axis=1).T)
+    passed = degenerate = accepted = 0
+    for b in range(n_batches):
+        stream = lambda: registration._stream(seed, registration._TAG_HARVEST, b)
+        got = registration._harvest_batch(src, dst, cols, tol, stream(), m)
+        idx = registration._distinct_triples(stream(), len(src), m)
+        want = harvest_triples_scalar(src, dst, idx, tol)
+        assert len(got) == len(want), b
+        if want:
+            assert np.abs(got - np.array(want)).max() < 1e-9, b
+        ok, bad = registration._ratio_test(cols, idx, tol)
+        passed += int(ok.sum())
+        degenerate += int(bad.sum())
+        accepted += len(got)
+    return passed, degenerate, accepted
+
+
+@pytest.mark.parametrize("fraction, seed", [(0.90, 16), (0.96, 17)])
+def test_harvest_batch_matches_scalar_oracle(fraction, seed):
+    rng = np.random.default_rng(seed)
+    src = normalize_cloud(load_cloud(DATA), 1000, rng)
+    scen = make_scenario(seed=seed, outlier_fraction=fraction)
+    dst = corrupt_cloud(src, scen)
+    passed, _, accepted = _oracle_batches(src, dst, seed, n_batches=3)
+    assert accepted == passed > 0
+
+
+def test_harvest_batch_oracle_drops_duplicated_points():
+    rng = np.random.default_rng(87)
+    base = normalize_cloud(load_cloud(DATA), 200, rng)
+    src = np.concatenate([base, base, base + 1e-11])  # sides 0 and ~2e-11
+    scen = make_scenario(seed=18, outlier_fraction=0.0, noise_sigma=0.0)
+    dst = corrupt_cloud(src, scen)
+    passed, degenerate, accepted = _oracle_batches(src, dst, 18, n_batches=1)
+    assert degenerate > 0
+    assert accepted == passed > 3000
+
+
+def test_harvest_batch_oracle_drops_collinear_triples():
+    rng = np.random.default_rng(88)
+    base = normalize_cloud(load_cloud(DATA), 200, rng)
+    line = np.array([0.1, -0.2, 0.05]) + rng.uniform(-0.5, 0.5, (200, 1)) * np.array([0.6, 0.3, 0.2])
+    src = np.concatenate([base, line])
+    scen = make_scenario(seed=19, outlier_fraction=0.5)
+    dst = corrupt_cloud(src, scen)
+    passed, _, accepted = _oracle_batches(src, dst, 19, n_batches=2)
+    assert 0 < accepted < passed  # collinear triples pass the ratio test, then drop
+
+
+def test_harvest_reports_counts(caplog):
+    rng = np.random.default_rng(89)
+    src = normalize_cloud(load_cloud(DATA), 500, rng)
+    scen = make_scenario(seed=20, outlier_fraction=0.8, n_hypotheses=300)
+    dst = corrupt_cloud(src, scen)
+    with caplog.at_level(logging.DEBUG, logger="rotavg.registration"):
+        hyps = harvest_hypotheses(src, dst, scen, batch_size=1000)
+    (rec,) = [r for r in caplog.records if r.name == "rotavg.registration"]
+    assert rec.levelno == logging.DEBUG
+    assert rec.attempts == 1000 * rec.batches
+    assert rec.accepted >= len(hyps) == 300
+    assert rec.acceptance_rate == rec.accepted / rec.attempts
+    assert "batches" in rec.getMessage()
+
+    strict = make_scenario(seed=20, outlier_fraction=0.8, n_hypotheses=300, ratio_tolerance=0.0)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="rotavg.registration"):
+        with pytest.raises(AttemptCapExceeded) as info:
+            harvest_hypotheses(src, dst, strict, attempt_cap=2500, batch_size=1000)
+    (rec,) = [r for r in caplog.records if r.name == "rotavg.registration"]
+    assert info.value.attempts == rec.attempts == 2500
+    assert info.value.accepted == rec.accepted < 300
+    assert rec.batches == 3
+
+
+def test_non_finite_cloud_is_rejected_at_once():
+    rng = np.random.default_rng(90)
+    good = normalize_cloud(blob(rng, 300), 300, rng)
+    scen = make_scenario(seed=21, outlier_fraction=0.9)
+    for bad_value in (np.nan, np.inf):
+        bad = good.copy()
+        bad[17, 1] = bad_value
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize_cloud(bad, 200, rng)
+        with pytest.raises(ValueError, match="non-finite"):
+            corrupt_cloud(bad, scen)
+        with pytest.raises(ValueError, match="non-finite"):
+            harvest_hypotheses(good, bad, scen)
+        with pytest.raises(ValueError, match="non-finite"):
+            harvest_hypotheses(bad, good, scen)
 
 
 # --------------------------------------------------------------------------
