@@ -4,127 +4,16 @@ A truncated-loss estimator that recovers one rotation from a sample set
 drowning in outliers (up to ~99%), plus the SO(3) kernel it stands on, a
 Monte-Carlo benchmark harness, and a point-cloud registration demo that
 turns correspondence triples into rotation hypotheses and averages them.
+The package exports every name in the __all__ of so3, averaging, bench and
+registration; fileio and cli stay submodules.
 """
 
-from rotavg.averaging import (
-    AveragingResult,
-    EmptyInput,
-    EmptySubset,
-    TludConfig,
-    chordal_l2_mean,
-    geodesic_l1_mean,
-    proxy_initialize,
-    robust_average,
-    select_inliers,
-    tlud_cost_chordal,
-    tlud_cost_geodesic,
-    weiszfeld_geodesic_l1,
-)
-from rotavg.bench import (
-    BenchReport,
-    BenchScenario,
-    SweepRow,
-    default_estimators,
-    desk_preset,
-    format_summary_table,
-    generate_trial,
-    random_inlier,
-    random_outlier,
-    run_scenario,
-    sweep,
-    write_summary_json,
-    write_trials_csv,
-)
-from rotavg.registration import (
-    AttemptCapExceeded,
-    CollinearPoints,
-    DegenerateTriangle,
-    RegistrationScenario,
-    TooFewPoints,
-    align_three_points,
-    corrupt_cloud,
-    harvest_hypotheses,
-    make_scenario,
-    normalize_cloud,
-    register_rotation,
-    triangle_ratio_check,
-)
-from rotavg.so3 import (
-    ROTATION_TOL,
-    DegenerateMatrix,
-    NotARotation,
-    NotSkewSymmetric,
-    check_rotations,
-    chordal_distance,
-    exp_map,
-    geodesic_distance,
-    hat,
-    is_rotation,
-    log_map,
-    matrix_to_quaternion,
-    project_to_so3,
-    quaternion_to_matrix,
-    vee,
-)
+from rotavg import averaging, bench, registration, so3
+from rotavg.averaging import *  # noqa: F403
+from rotavg.bench import *  # noqa: F403
+from rotavg.registration import *  # noqa: F403
+from rotavg.so3 import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # so3
-    "hat",
-    "vee",
-    "exp_map",
-    "log_map",
-    "geodesic_distance",
-    "chordal_distance",
-    "project_to_so3",
-    "is_rotation",
-    "check_rotations",
-    "matrix_to_quaternion",
-    "quaternion_to_matrix",
-    "ROTATION_TOL",
-    "NotSkewSymmetric",
-    "DegenerateMatrix",
-    "NotARotation",
-    # averaging
-    "TludConfig",
-    "AveragingResult",
-    "robust_average",
-    "proxy_initialize",
-    "select_inliers",
-    "chordal_l2_mean",
-    "weiszfeld_geodesic_l1",
-    "geodesic_l1_mean",
-    "tlud_cost_geodesic",
-    "tlud_cost_chordal",
-    "EmptyInput",
-    "EmptySubset",
-    # bench
-    "BenchScenario",
-    "BenchReport",
-    "SweepRow",
-    "random_inlier",
-    "random_outlier",
-    "generate_trial",
-    "run_scenario",
-    "sweep",
-    "default_estimators",
-    "desk_preset",
-    "write_trials_csv",
-    "write_summary_json",
-    "format_summary_table",
-    # registration
-    "RegistrationScenario",
-    "make_scenario",
-    "normalize_cloud",
-    "corrupt_cloud",
-    "triangle_ratio_check",
-    "align_three_points",
-    "harvest_hypotheses",
-    "register_rotation",
-    "TooFewPoints",
-    "DegenerateTriangle",
-    "CollinearPoints",
-    "AttemptCapExceeded",
-]
+__all__ = ["__version__", *so3.__all__, *averaging.__all__, *bench.__all__, *registration.__all__]

@@ -16,8 +16,9 @@ back to a blocked Gram product over all pairs when most are (few outliers,
 small inputs).  Both searches are exact: they differ from the exhaustive
 cost only by roundoff.
 
-Every entry point checks its samples with so3.check_rotations and raises
-so3.NotARotation for non-finite or non-rotation input.
+Every entry point checks its samples with so3.check_rotations, and its
+center or seed with so3.is_rotation, and raises so3.NotARotation for
+non-finite or non-rotation input.
 """
 
 from __future__ import annotations
@@ -164,6 +165,14 @@ def _as_rotation_stack(samples: np.ndarray, allow_empty: bool = False) -> np.nda
     return a
 
 
+def _as_rotation(m, name: str) -> np.ndarray:
+    """m as a 3x3 float array, or NotARotation naming the argument."""
+    R = np.asarray(m, dtype=float)
+    if R.shape != (3, 3) or not so3.is_rotation(R, tol=so3.ROTATION_TOL):
+        raise so3.NotARotation(f"{name} is not a finite 3x3 rotation (tol {so3.ROTATION_TOL:.0e})")
+    return R
+
+
 def _as_index_set(subset, n: int) -> np.ndarray:
     idx = np.unique(np.asarray(subset, dtype=np.int64).reshape(-1))
     if idx.size and (idx[0] < 0 or idx[-1] >= n):
@@ -174,14 +183,14 @@ def _as_index_set(subset, n: int) -> np.ndarray:
 def tlud_cost_geodesic(center: np.ndarray, samples: np.ndarray, epsilon_g: float) -> float:
     """Sum of geodesic deviations from center, each capped at epsilon_g."""
     Rs = _as_rotation_stack(samples)
-    d = so3.geodesic_distance(Rs, np.asarray(center, dtype=float))
+    d = so3.geodesic_distance(Rs, _as_rotation(center, "center"))
     return float(np.minimum(d, epsilon_g).sum())
 
 
 def tlud_cost_chordal(center: np.ndarray, samples: np.ndarray, epsilon_c: float) -> float:
     """Sum of chordal (Frobenius) deviations from center, each capped at epsilon_c."""
     Rs = _as_rotation_stack(samples)
-    d = so3.chordal_distance(Rs, np.asarray(center, dtype=float))
+    d = so3.chordal_distance(Rs, _as_rotation(center, "center"))
     return float(np.minimum(d, epsilon_c).sum())
 
 
@@ -416,9 +425,10 @@ def proxy_initialize(
 def select_inliers(center: np.ndarray, samples: np.ndarray, epsilon_c: float = 0.5) -> np.ndarray:
     """Sorted indices of samples within chordal distance epsilon_c of center (inclusive)."""
     Rs = _as_rotation_stack(samples, allow_empty=True)
+    center = _as_rotation(center, "center")
     if len(Rs) == 0:
         return np.empty(0, dtype=np.int64)
-    d = so3.chordal_distance(Rs, np.asarray(center, dtype=float))
+    d = so3.chordal_distance(Rs, center)
     return np.flatnonzero(d <= epsilon_c).astype(np.int64)
 
 
@@ -468,7 +478,7 @@ def weiszfeld_geodesic_l1(
     if it_max < 1:
         raise ValueError(f"it_max must be at least 1, got {it_max}")
     sub = Rs[idx]
-    R = np.array(seed, dtype=float)
+    R = _as_rotation(seed, "seed").copy()
     vi = so3.log_map(sub @ R.T)
     ni = np.linalg.norm(vi, axis=-1)
     costs = [float(ni.sum())]

@@ -1,9 +1,11 @@
 """Seeded Monte-Carlo benchmarks for the rotation averaging estimators.
 
 Each trial owns an RNG stream derived from (scenario seed, trial index), so
-reports are reproducible and identical no matter how many workers execute
-the trials.  Results can be dumped as a per-trial CSV plus a per-scenario
-JSON summary; the column order of the CSV is part of the file contract.
+reports are reproducible.  Trials run serially in the calling thread; the
+thread pool is gone (it gained nothing measurable) and n_workers is accepted
+for compatibility and ignored.  Results can be dumped as a per-trial CSV
+plus a per-scenario JSON summary; the column order of the CSV is part of the
+file contract.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -176,32 +177,24 @@ def run_scenario(scenario: BenchScenario, method, n_workers: int = 1) -> BenchRe
         scenario: what to generate.
         method: callable mapping an (N, 3, 3) stack to an object with an
             ``estimate`` attribute (an AveragingResult works).
-        n_workers: thread count; the report is identical for any value.
+        n_workers: accepted for compatibility and ignored; the trials run
+            serially, as a thread pool over them gained nothing measurable.
 
     An exception out of the estimator is recorded as an infinite error for
     that trial rather than aborting the run.  Runtime measures the estimator
     call only, not data generation.
     """
-
-    def one(trial: int) -> tuple[float, float]:
+    errors = np.empty(scenario.n_trials)
+    runtimes = np.empty(scenario.n_trials)
+    for trial in range(scenario.n_trials):
         samples, truth = generate_trial(scenario, trial)
         t0 = time.perf_counter()
         try:
             res = method(samples)
-            err = math.degrees(so3.geodesic_distance(res.estimate, truth))
+            errors[trial] = math.degrees(so3.geodesic_distance(res.estimate, truth))
         except Exception:
-            err = math.inf
-        ms = (time.perf_counter() - t0) * 1e3
-        return err, ms
-
-    trials = range(scenario.n_trials)
-    if n_workers <= 1:
-        pairs = [one(t) for t in trials]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as ex:
-            pairs = list(ex.map(one, trials))
-    errors = np.array([p[0] for p in pairs])
-    runtimes = np.array([p[1] for p in pairs])
+            errors[trial] = math.inf
+        runtimes[trial] = (time.perf_counter() - t0) * 1e3
     return BenchReport(
         per_trial_error_deg=errors,
         per_trial_runtime_ms=runtimes,

@@ -22,23 +22,23 @@ import sys
 import numpy as np
 
 from rotavg import bench, fileio, registration, so3
-from rotavg.averaging import EmptyInput, TludConfig, robust_average
+from rotavg.averaging import TludConfig, robust_average
 
 __all__ = ["main"]
 
 
-def _float_list(text: str) -> list[float]:
-    try:
-        return [float(f) for f in text.split(",") if f.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}") from None
+def _list_of(kind):
+    """argparse type parsing a comma-separated list of kind (int or float)."""
 
+    def parse(text: str) -> list:
+        try:
+            return [kind(f) for f in text.split(",") if f.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated {kind.__name__} list: {text!r}"
+            ) from None
 
-def _int_list(text: str) -> list[int]:
-    try:
-        return [int(f) for f in text.split(",") if f.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated integer list: {text!r}") from None
+    return parse
 
 
 def _dump_json(payload: dict, out_path: str | None) -> None:
@@ -205,11 +205,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Run trials over a grid of sample counts, outlier ratios, "
         "and inlier noise levels; print a summary table.",
     )
-    p_bench.add_argument("--n", type=_int_list, default=[100], metavar="N1,N2,...",
+    p_bench.add_argument("--n", type=_list_of(int), default=[100], metavar="N1,N2,...",
                          help="sample counts (default 100)")
-    p_bench.add_argument("--ratio", type=_float_list, default=[0.7], metavar="R1,R2,...",
+    p_bench.add_argument("--ratio", type=_list_of(float), default=[0.7], metavar="R1,R2,...",
                          help="outlier ratios in [0,1) (default 0.7)")
-    p_bench.add_argument("--sigma", type=_float_list, default=[5.0], metavar="S1,S2,...",
+    p_bench.add_argument("--sigma", type=_list_of(float), default=[5.0], metavar="S1,S2,...",
                          help="inlier noise std devs in degrees (default 5)")
     p_bench.add_argument("--trials", type=int, default=50, metavar="T",
                          help="trials per scenario (default 50)")
@@ -220,7 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--preset", choices=("desk",), default=None,
                          help="ignore the grid flags and run a canned sweep")
     p_bench.add_argument("--workers", type=int, default=1, metavar="W",
-                         help="thread workers for trials (default 1; results identical)")
+                         help="accepted for compatibility and ignored: the trial thread pool is gone")
     p_bench.add_argument("--no-timing", action="store_true",
                          help="write zeros for runtime fields (byte-reproducible outputs)")
     p_bench.add_argument("--out-csv", metavar="PATH", help="write per-trial rows as CSV")
@@ -269,16 +269,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (fileio.RotationFormatError, fileio.CloudFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (so3.NotARotation, so3.DegenerateMatrix, registration.AttemptCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (EmptyInput, registration.TooFewPoints, ValueError) as exc:
+    except (FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
+        # ValueError covers the file format errors, EmptyInput and TooFewPoints
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -45,13 +45,47 @@ class CloudFormatError(ValueError):
     """A point-cloud file could not be parsed."""
 
 
-def _data_lines(path):
-    """Yield (1-based line number, stripped text) for non-blank, non-# lines."""
+def _read_rows(path, k: int, error):
+    """Tokenize a file's non-blank, non-# lines with split() and float().
+
+    Reading stops at the first line that is not k numbers.  Its error,
+    error(line, message), comes back unraised as the third item, after the
+    (N, k) array and the rows' 1-based line numbers: a bad value on an
+    earlier row wins.
+    """
+    rows, lines, deferred = [], [], None
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
-            if text and not text.startswith("#"):
-                yield lineno, text
+            if not text or text.startswith("#"):
+                continue
+            fields = text.split()
+            if len(fields) != k:
+                deferred = error(lineno, f"expected {k} fields, got {len(fields)}")
+                break
+            try:
+                rows.append([float(f) for f in fields])
+            except ValueError:
+                deferred = error(lineno, f"non-numeric field in {text!r}")
+                break
+            lines.append(lineno)
+    return np.array(rows, dtype=float).reshape(-1, k), lines, deferred
+
+
+def _raise_first(lines, deferred, *checks) -> None:
+    """Raise for the earliest row failing a check, else raise deferred.
+
+    checks are (row mask, error, message) tuples, where error(line, message)
+    builds the exception, in the order one line is checked: a row failing
+    several reports the first, and the file reports what a line-at-a-time
+    reader would.
+    """
+    failed = [(int(np.argmax(mask)), i) for i, (mask, _, _) in enumerate(checks) if mask.any()]
+    if failed:
+        row, i = min(failed)
+        raise checks[i][1](lines[row], checks[i][2])
+    if deferred is not None:
+        raise deferred
 
 
 def read_rotations(path, fmt: str = "mat9", repair: bool = False):
@@ -74,47 +108,31 @@ def read_rotations(path, fmt: str = "mat9", repair: bool = False):
         RotationInvariantError: a mat9 row is further than
             so3.ROTATION_TOL from a rotation and repair is off (or the row
             is too degenerate to repair).
+        Either error names the earliest bad line.
     """
     if fmt not in ("mat9", "quat"):
         raise ValueError(f"fmt must be 'mat9' or 'quat', got {fmt!r}")
-    n_fields = 9 if fmt == "mat9" else 4
-    rotations = []  # matrices, or for quat the raw (w, x, y, z) rows
-    repaired = 0
-    for lineno, text in _data_lines(path):
-        fields = text.split()
-        if len(fields) != n_fields:
-            raise RotationFormatError(
-                lineno, f"expected {n_fields} fields, got {len(fields)}"
-            )
-        try:
-            values = [float(f) for f in fields]
-        except ValueError:
-            raise RotationFormatError(lineno, f"non-numeric field in {text!r}") from None
-        if not all(np.isfinite(values)):
-            raise RotationFormatError(lineno, "non-finite value")
-        if fmt == "quat":
-            if float(np.linalg.norm(values)) < 1e-12:
-                raise RotationFormatError(lineno, "zero-norm quaternion")
-            rotations.append(values)
-            continue
-        r = np.array(values).reshape(3, 3)
-        if so3.is_rotation(r, tol=so3.ROTATION_TOL):
-            rotations.append(r)
-            continue
-        if not repair:
-            raise RotationInvariantError(
-                lineno, "entries do not form a rotation matrix (use repair to project)"
-            )
-        try:
-            rotations.append(so3.project_to_so3(r))
-        except so3.DegenerateMatrix:
-            raise RotationInvariantError(
-                lineno, "matrix is too degenerate to repair"
-            ) from None
-        repaired += 1
+    values, lines, deferred = _read_rows(path, 9 if fmt == "mat9" else 4, RotationFormatError)
+    finite = np.isfinite(values).all(axis=1)
+    nonfinite = (~finite, RotationFormatError, "non-finite value")
     if fmt == "quat":
-        return so3.quaternion_to_matrix(np.array(rotations).reshape(-1, 4)), 0
-    return np.array(rotations).reshape(-1, 3, 3), repaired
+        zero = np.linalg.norm(values, axis=1) < 1e-12
+        _raise_first(lines, deferred, nonfinite, (zero, RotationFormatError, "zero-norm quaternion"))
+        return so3.quaternion_to_matrix(values), 0
+    stack = values.reshape(-1, 3, 3)
+    off = np.zeros(len(stack), dtype=bool)
+    off[finite] = ~so3.is_rotation(stack[finite], tol=so3.ROTATION_TOL)
+    if not repair:
+        message = "entries do not form a rotation matrix (use repair to project)"
+        _raise_first(lines, deferred, nonfinite, (off, RotationInvariantError, message))
+        return stack, 0
+    projected, _, unique = so3.nearest_rotations(stack[off])
+    stuck = off.copy()
+    stuck[off] = ~unique
+    message = "matrix is too degenerate to repair"
+    _raise_first(lines, deferred, nonfinite, (stuck, RotationInvariantError, message))
+    stack[off] = projected
+    return stack, int(off.sum())
 
 
 def write_rotations(path, rotations, header: str | None = None) -> None:
@@ -139,23 +157,14 @@ def read_xyz(path) -> np.ndarray:
     Lines starting with '#' and blank lines are skipped.  Anything other
     than exactly three finite numbers per line is an error.
     """
-    points = []
-    for lineno, text in _data_lines(path):
-        fields = text.split()
-        if len(fields) != 3:
-            raise CloudFormatError(
-                f"line {lineno}: expected 3 fields, got {len(fields)}"
-            )
-        try:
-            xyz = [float(f) for f in fields]
-        except ValueError:
-            raise CloudFormatError(f"line {lineno}: non-numeric field in {text!r}") from None
-        if not all(np.isfinite(xyz)):
-            raise CloudFormatError(f"line {lineno}: non-finite coordinate")
-        points.append(xyz)
-    if not points:
+    def error(line, message):
+        return CloudFormatError(f"line {line}: {message}")
+
+    points, lines, deferred = _read_rows(path, 3, error)
+    _raise_first(lines, deferred, (~np.isfinite(points).all(axis=1), error, "non-finite coordinate"))
+    if not len(points):
         raise CloudFormatError(f"no points found in {os.fspath(path)}")
-    return np.array(points)
+    return points
 
 
 def read_ply(path) -> np.ndarray:
@@ -163,6 +172,8 @@ def read_ply(path) -> np.ndarray:
 
     Only `format ascii` files are supported.  Elements other than `vertex`
     are skipped; list properties inside the vertex element are rejected.
+    The result is an (N, 3) array with N >= 1: a malformed header, a
+    negative element count and an empty vertex element are all errors.
     """
     with open(path, encoding="utf-8") as fh:
         magic = fh.readline().strip()
@@ -189,10 +200,15 @@ def read_ply(path) -> np.ndarray:
                     count = int(fields[2])
                 except ValueError:
                     raise CloudFormatError(f"bad element count in {line!r}") from None
+                if count < 0:
+                    raise CloudFormatError(f"negative element count in {line!r}")
                 elements.append((fields[1], count, []))
             elif fields[0] == "property":
                 if not elements:
                     raise CloudFormatError("property before any element")
+                # "property <type> <name>" or "property list <type> <type> <name>"
+                if len(fields) != (5 if fields[1:2] == ["list"] else 3):
+                    raise CloudFormatError(f"malformed property line: {line!r}")
                 if fields[1] == "list":
                     if elements[-1][0] == "vertex":
                         raise CloudFormatError("list property in vertex element is not supported")
@@ -232,6 +248,8 @@ def read_ply(path) -> np.ndarray:
             points = np.array(rows)
         if points is None:
             raise CloudFormatError("no vertex element in PLY header")
+        if not len(points):
+            raise CloudFormatError("PLY vertex element has no vertices")
         if not np.isfinite(points).all():
             raise CloudFormatError("non-finite vertex coordinate")
         return points

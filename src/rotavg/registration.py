@@ -256,12 +256,8 @@ def _align_batch(sp: np.ndarray, dp: np.ndarray) -> np.ndarray:
     apart = np.minimum(srms, drms) >= 1e-12  # else the points coincide
     sc, dc, srms, drms = sc[apart], dc[apart], srms[apart], drms[apart]
     H = np.einsum("bif,big->bfg", dc / drms[:, None, None], sc / srms[:, None, None])
-    U, sv, Vt = np.linalg.svd(H)
-    keep = sv[:, 1] > _COLLINEAR_TOL
-    U, Vt = U[keep], Vt[keep]
-    det = np.linalg.det(U @ Vt)
-    U[:, :, 2] *= np.where(det < 0.0, -1.0, 1.0)[:, None]
-    return U @ Vt
+    R, sv, _ = so3.nearest_rotations(H)
+    return R[sv[:, 1] > _COLLINEAR_TOL]
 
 
 def triangle_ratio_check(src, dst, tol: float = 0.1) -> bool:

@@ -24,6 +24,7 @@ __all__ = [
     "geodesic_distance",
     "chordal_distance",
     "project_to_so3",
+    "nearest_rotations",
     "is_rotation",
     "check_rotations",
     "matrix_to_quaternion",
@@ -232,31 +233,40 @@ def chordal_distance(r1: np.ndarray, r2: np.ndarray) -> float | np.ndarray:
     return float(d) if np.ndim(d) == 0 else d
 
 
-def project_to_so3(m: np.ndarray) -> np.ndarray:
-    """Frobenius-nearest rotation to an arbitrary 3x3 matrix.
+def nearest_rotations(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Frobenius-nearest rotations to a stack of finite 3x3 matrices, flagging not raising.
 
     Uses the SVD U diag(1, 1, sign(det(U V^T))) V^T, which handles inputs
     with negative determinant.  The minimizer exists for any matrix but is
     only unique when the rank is at least 2 and, for det < 0, the two
     trailing singular values are separated.
 
+    Returns:
+        (R, s, unique) over the k matrices of m flattened to (k, 3, 3): a
+        rotation for each, the (k, 3) descending singular values, and a
+        mask that is False where R is not unique at tolerance 1e-12.
+    """
+    m = np.asarray(m, dtype=float)
+    _check_mat3(m)
+    U, s, Vt = np.linalg.svd(m.reshape((-1, 3, 3)))
+    d = np.linalg.det(U @ Vt)
+    unique = ~((s[:, 1] <= _NONUNIQUE_TOL) | ((d < 0.0) & (s[:, 1] - s[:, 2] <= _NONUNIQUE_TOL)))
+    U[:, :, 2] *= np.where(d < 0.0, -1.0, 1.0)[:, None]
+    return U @ Vt, s, unique
+
+
+def project_to_so3(m: np.ndarray) -> np.ndarray:
+    """Frobenius-nearest rotation to a 3x3 matrix or stack (see nearest_rotations).
+
     Raises:
         DegenerateMatrix: when the nearest rotation is not unique at
             tolerance 1e-12 (rank < 2, or a reflection-ambiguous spectrum).
     """
     m = np.asarray(m, dtype=float)
-    _check_mat3(m)
-    single = m.ndim == 2
-    M = m.reshape((-1, 3, 3))
-    U, s, Vt = np.linalg.svd(M)
-    d = np.linalg.det(U @ Vt)
-    bad = (s[:, 1] <= _NONUNIQUE_TOL) | ((d < 0.0) & (s[:, 1] - s[:, 2] <= _NONUNIQUE_TOL))
-    if np.any(bad):
+    R, _, unique = nearest_rotations(m)
+    if not unique.all():
         raise DegenerateMatrix("projection onto SO(3) is not unique for this input")
-    Uc = U.copy()
-    Uc[:, :, 2] *= np.where(d < 0.0, -1.0, 1.0)[:, None]
-    R = Uc @ Vt
-    return R[0] if single else R.reshape(m.shape)
+    return R[0] if m.ndim == 2 else R.reshape(m.shape)
 
 
 def is_rotation(m: np.ndarray, tol: float = 1e-9) -> bool | np.ndarray:

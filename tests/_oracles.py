@@ -4,12 +4,16 @@ Everything here is computed by a different route than the package uses:
 quaternion algebra instead of matrix logarithms, eigen-decomposition
 (Horn's absolute orientation) instead of SVD Procrustes, plain Python
 loops instead of blocked matrix products, and brute-force grid/descent
-searches instead of closed forms.  None of it imports the package.
+searches instead of closed forms.  None of it imports the package, except
+the file readers at the end: they are the package's former line-at-a-time
+readers, kept as the reference for the batched ones, and raise the package's
+exception types with the package's own so3 checks.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -297,3 +301,77 @@ def tangent_grid_min(cost_fn, R0, radius: float = 0.02, steps: int = 10) -> floa
                 if val < best:
                     best = val
     return best
+
+
+# --------------------------------------------------------------------------
+# line-at-a-time file readers
+
+
+def _data_lines(path):
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            text = raw.strip()
+            if text and not text.startswith("#"):
+                yield lineno, text
+
+
+def read_rotations_lines(path, fmt: str = "mat9", repair: bool = False):
+    """rotavg.fileio.read_rotations, checking each line before the next."""
+    from rotavg import so3
+    from rotavg.fileio import RotationFormatError, RotationInvariantError
+
+    n_fields = 9 if fmt == "mat9" else 4
+    rotations = []
+    repaired = 0
+    for lineno, text in _data_lines(path):
+        fields = text.split()
+        if len(fields) != n_fields:
+            raise RotationFormatError(lineno, f"expected {n_fields} fields, got {len(fields)}")
+        try:
+            values = [float(f) for f in fields]
+        except ValueError:
+            raise RotationFormatError(lineno, f"non-numeric field in {text!r}") from None
+        if not all(np.isfinite(values)):
+            raise RotationFormatError(lineno, "non-finite value")
+        if fmt == "quat":
+            if float(np.linalg.norm(values)) < 1e-12:
+                raise RotationFormatError(lineno, "zero-norm quaternion")
+            rotations.append(values)
+            continue
+        r = np.array(values).reshape(3, 3)
+        if so3.is_rotation(r, tol=so3.ROTATION_TOL):
+            rotations.append(r)
+            continue
+        if not repair:
+            raise RotationInvariantError(
+                lineno, "entries do not form a rotation matrix (use repair to project)"
+            )
+        try:
+            rotations.append(so3.project_to_so3(r))
+        except so3.DegenerateMatrix:
+            raise RotationInvariantError(lineno, "matrix is too degenerate to repair") from None
+        repaired += 1
+    if fmt == "quat":
+        return so3.quaternion_to_matrix(np.array(rotations).reshape(-1, 4)), 0
+    return np.array(rotations).reshape(-1, 3, 3), repaired
+
+
+def read_xyz_lines(path) -> np.ndarray:
+    """rotavg.fileio.read_xyz, checking each line before the next."""
+    from rotavg.fileio import CloudFormatError
+
+    points = []
+    for lineno, text in _data_lines(path):
+        fields = text.split()
+        if len(fields) != 3:
+            raise CloudFormatError(f"line {lineno}: expected 3 fields, got {len(fields)}")
+        try:
+            xyz = [float(f) for f in fields]
+        except ValueError:
+            raise CloudFormatError(f"line {lineno}: non-numeric field in {text!r}") from None
+        if not all(np.isfinite(xyz)):
+            raise CloudFormatError(f"line {lineno}: non-finite coordinate")
+        points.append(xyz)
+    if not points:
+        raise CloudFormatError(f"no points found in {os.fspath(path)}")
+    return np.array(points)

@@ -192,6 +192,28 @@ def test_nan_sample_is_rejected():
         weiszfeld_geodesic_l1(samples, [0, 1], np.eye(3))
 
 
+_NAN_MATRIX = np.full((3, 3), np.nan)
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda Rs: select_inliers(_NAN_MATRIX, Rs), "center"),
+        (lambda Rs: tlud_cost_geodesic(_NAN_MATRIX, Rs, 0.3554), "center"),
+        (lambda Rs: tlud_cost_chordal(3.0 * np.eye(3), Rs, 0.5), "center"),
+        (lambda Rs: tlud_cost_chordal(np.eye(3)[None], Rs, 0.5), "center"),
+        (lambda Rs: weiszfeld_geodesic_l1(Rs, [0, 1], _NAN_MATRIX), "seed"),
+    ],
+    ids=["select_inliers-nan", "tlud_geodesic-nan", "tlud_chordal-3I", "tlud_chordal-stack",
+         "weiszfeld-nan-seed"],
+)
+def test_center_and_seed_must_be_rotations(call, name):
+    # before these checks the calls returned [], nan, 2.5 and an all-NaN estimate
+    samples = np.repeat(np.eye(3)[None], 5, axis=0)
+    with pytest.raises(so3.NotARotation, match=f"^{name} is not a finite 3x3 rotation"):
+        call(samples)
+
+
 # --------------------------------------------------------------------------
 # inlier selection
 

@@ -223,6 +223,24 @@ def test_read_ply_rejections(tmp_path):
         read_ply(path)
 
 
+@pytest.mark.parametrize(
+    "header",
+    [
+        "element vertex 1\nproperty\nproperty float x\nproperty float y\nproperty float z",
+        "element vertex -3\nproperty float x\nproperty float y\nproperty float z",
+        "element vertex 0\nproperty float x\nproperty float y\nproperty float z",
+    ],
+    ids=["bare-property", "negative-count", "no-vertices"],
+)
+def test_read_ply_malformed_header(tmp_path, capsys, header):
+    path = tmp_path / "bad.ply"
+    path.write_text(f"ply\nformat ascii 1.0\n{header}\nend_header\n0 0 0\n")
+    with pytest.raises(CloudFormatError):
+        read_ply(path)
+    assert main(["register", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_load_cloud_sniffs_content(tmp_path):
     ply = tmp_path / "a.ply"
     ply.write_text(PLY_TEXT)

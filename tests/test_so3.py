@@ -261,6 +261,39 @@ def test_project_degenerate_inputs():
     assert so3.is_rotation(P)
 
 
+def test_nearest_rotations_matches_project_per_matrix():
+    rng = np.random.default_rng(23)
+    R = random_rotations(rng, 40)
+    degenerate = [
+        np.zeros((3, 3)),
+        np.outer([1.0, 2.0, 0.0], [0.0, 1.0, 1.0]),
+        np.diag([1.0, 1e-13, 1e-13]),
+        np.diag([1.0, 0.5, -0.5]),
+        np.diag([2.0, 1.0, -1.0]) @ R[0],
+    ]
+    M = np.concatenate([
+        rng.normal(size=(40, 3, 3)),
+        R + rng.normal(0.0, 1e-3, size=(40, 3, 3)),
+        np.diag([-3.0, 2.0, 1.0]) @ R,  # det < 0: every row needs the sign fix
+        np.diag([1.0, 0.5, 1e-6])[None],
+        np.stack(degenerate),
+    ])
+    M = M[rng.permutation(len(M))]
+    Rs, s, unique = so3.nearest_rotations(M)
+    assert Rs.shape == M.shape and s.shape == (len(M), 3)
+    assert np.allclose(s, np.linalg.svd(M, compute_uv=False), rtol=1e-12, atol=1e-14)
+    assert so3.is_rotation(Rs).all()  # a rotation even where it is not unique
+    assert (~unique).sum() == len(degenerate)
+    for k, m in enumerate(M):
+        try:
+            P = so3.project_to_so3(m)
+        except so3.DegenerateMatrix:
+            assert not unique[k]
+        else:
+            assert unique[k]
+            assert P.tobytes() == Rs[k].tobytes()
+
+
 def test_is_rotation_rejects_imposters():
     rng = np.random.default_rng(22)
     R = random_rotations(rng, 1)[0]
