@@ -8,27 +8,12 @@ scenario seeds; rerunning this script gives the same errors bit for bit.
 Run:  python3 demos/03_synthetic_benchmark.py
 """
 
-from rotavg.bench import (
-    BenchScenario,
-    default_estimators,
-    format_summary_table,
-    generate_trial,
-    sweep,
-)
+from rotavg.bench import default_estimators, format_summary_table, generate_trial, grid, sweep
 
 
 def main() -> None:
-    scenarios = []
-    for ratio in (0.5, 0.8, 0.9):
-        scenarios.append(
-            BenchScenario(
-                n_samples=200,
-                outlier_ratio=ratio,
-                sigma_deg=5.0,
-                n_trials=20,
-                seed=len(scenarios),
-            )
-        )
+    # N = 200 and sigma = 5 deg at three outlier ratios; scenario i has seed i
+    scenarios = grid([200], [0.5, 0.8, 0.9], [5.0], n_trials=20)
 
     print("one scenario, one trial, under the hood:")
     samples, truth = generate_trial(scenarios[-1], trial=0)

@@ -104,8 +104,7 @@ class TludConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.epsilon_c < _TWO_SQRT_TWO:
             raise ValueError(f"epsilon_c must lie in (0, 2*sqrt(2)), got {self.epsilon_c}")
-        if self.delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        _positive("delta", self.delta)
         if self.it_max < 1:
             raise ValueError(f"it_max must be at least 1, got {self.it_max}")
         if self.realternate < 0:
@@ -151,6 +150,12 @@ class AveragingResult:
     guard_fired: bool = False
 
 
+def _positive(name: str, value: float) -> None:
+    """Raise ValueError unless value > 0; written so that NaN fails too."""
+    if not value > 0.0:
+        raise ValueError(f"{name} must be positive, got {value}")
+
+
 def _as_rotation_stack(samples: np.ndarray, allow_empty: bool = False) -> np.ndarray:
     a = np.asarray(samples, dtype=float)
     if a.size == 0:
@@ -183,6 +188,7 @@ def _as_index_set(subset, n: int) -> np.ndarray:
 def tlud_cost_geodesic(center: np.ndarray, samples: np.ndarray, epsilon_g: float) -> float:
     """Sum of geodesic deviations from center, each capped at epsilon_g."""
     Rs = _as_rotation_stack(samples)
+    _positive("epsilon_g", epsilon_g)
     d = so3.geodesic_distance(Rs, _as_rotation(center, "center"))
     return float(np.minimum(d, epsilon_g).sum())
 
@@ -190,6 +196,7 @@ def tlud_cost_geodesic(center: np.ndarray, samples: np.ndarray, epsilon_g: float
 def tlud_cost_chordal(center: np.ndarray, samples: np.ndarray, epsilon_c: float) -> float:
     """Sum of chordal (Frobenius) deviations from center, each capped at epsilon_c."""
     Rs = _as_rotation_stack(samples)
+    _positive("epsilon_c", epsilon_c)
     d = so3.chordal_distance(Rs, _as_rotation(center, "center"))
     return float(np.minimum(d, epsilon_c).sum())
 
@@ -408,8 +415,7 @@ def proxy_initialize(
         so3.NotARotation: a sample is non-finite or not a rotation.
     """
     Rs = _as_rotation_stack(samples)
-    if epsilon_c <= 0.0:
-        raise ValueError(f"epsilon_c must be positive, got {epsilon_c}")
+    _positive("epsilon_c", epsilon_c)
     if block_size < 1:
         raise ValueError(f"block_size must be at least 1, got {block_size}")
     n = len(Rs)
@@ -426,6 +432,7 @@ def select_inliers(center: np.ndarray, samples: np.ndarray, epsilon_c: float = 0
     """Sorted indices of samples within chordal distance epsilon_c of center (inclusive)."""
     Rs = _as_rotation_stack(samples, allow_empty=True)
     center = _as_rotation(center, "center")
+    _positive("epsilon_c", epsilon_c)
     if len(Rs) == 0:
         return np.empty(0, dtype=np.int64)
     d = so3.chordal_distance(Rs, center)
@@ -473,8 +480,7 @@ def weiszfeld_geodesic_l1(
     idx = _as_index_set(subset, len(Rs))
     if idx.size == 0:
         raise EmptySubset("cannot refine over an empty subset")
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    _positive("delta", delta)
     if it_max < 1:
         raise ValueError(f"it_max must be at least 1, got {it_max}")
     sub = Rs[idx]
@@ -545,16 +551,15 @@ def robust_average(samples: np.ndarray, config: TludConfig | None = None) -> Ave
     """
     cfg = config if config is not None else TludConfig()
     Rs = _as_rotation_stack(samples)
-    init_index, init = proxy_initialize(Rs, cfg.epsilon_c)
-    inliers = select_inliers(init, Rs, cfg.epsilon_c)
-    # the winner is its own inlier at zero distance, so the set is never empty
-    assert inliers.size > 0
-    seed = chordal_l2_mean(Rs, inliers)
-    result = weiszfeld_geodesic_l1(Rs, inliers, seed, cfg.delta, cfg.it_max)
-    for _ in range(cfg.realternate):
-        refreshed = select_inliers(result.estimate, Rs, cfg.epsilon_c)
-        if refreshed.size == 0 or np.array_equal(refreshed, result.inliers):
+    init_index, center = proxy_initialize(Rs, cfg.epsilon_c)
+    result = None
+    for _ in range(1 + cfg.realternate):
+        # On the first pass the winner is its own inlier at zero distance, so
+        # the set is never empty.
+        inliers = select_inliers(center, Rs, cfg.epsilon_c)
+        if result is not None and (inliers.size == 0 or np.array_equal(inliers, result.inliers)):
             break
-        seed = chordal_l2_mean(Rs, refreshed)
-        result = weiszfeld_geodesic_l1(Rs, refreshed, seed, cfg.delta, cfg.it_max)
+        seed = chordal_l2_mean(Rs, inliers)
+        result = weiszfeld_geodesic_l1(Rs, inliers, seed, cfg.delta, cfg.it_max)
+        center = result.estimate
     return replace(result, init_index=init_index)

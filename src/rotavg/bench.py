@@ -31,6 +31,7 @@ __all__ = [
     "generate_trial",
     "run_scenario",
     "sweep",
+    "grid",
     "default_estimators",
     "desk_preset",
     "write_trials_csv",
@@ -154,15 +155,11 @@ def random_outlier(rng: np.random.Generator, n: int | None = None) -> np.ndarray
     return R[0] if n is None else R
 
 
-def _trial_rng(scenario: BenchScenario, trial: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([scenario.seed, trial]))
-
-
 def generate_trial(scenario: BenchScenario, trial: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic inputs for one trial: (shuffled samples, planted truth)."""
     if not 0 <= trial < scenario.n_trials:
         raise ValueError(f"trial must lie in [0, {scenario.n_trials}), got {trial}")
-    rng = _trial_rng(scenario, trial)
+    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, trial]))
     truth = random_outlier(rng)
     inliers = random_inlier(truth, scenario.sigma_deg, rng, n=scenario.n_inliers)
     outliers = random_outlier(rng, n=scenario.n_outliers)
@@ -209,13 +206,27 @@ def sweep(scenarios, methods, n_workers: int = 1) -> list[SweepRow]:
     """Cartesian product of scenarios and named estimators, in given order.
 
     Both methods of a scenario see identical trial data (the data streams
-    depend only on the scenario seed, never on the estimator).
+    depend only on the scenario seed, never on the estimator).  n_workers is
+    accepted for compatibility and ignored.
     """
     rows: list[SweepRow] = []
     for scen in scenarios:
         for name, fn in methods.items():
-            rows.append(SweepRow(name, scen, run_scenario(scen, fn, n_workers=n_workers)))
+            rows.append(SweepRow(name, scen, run_scenario(scen, fn)))
     return rows
+
+
+def grid(ns, ratios, sigmas, n_trials: int, seed: int = 0) -> list[BenchScenario]:
+    """One scenario per (n, ratio, sigma), n outermost and sigma innermost.
+
+    Scenario i of the list, in that order, gets seed + i; each runs
+    n_trials trials.
+    """
+    points = [(n, r, s) for n in ns for r in ratios for s in sigmas]
+    return [
+        BenchScenario(n_samples=n, outlier_ratio=r, sigma_deg=s, n_trials=n_trials, seed=seed + i)
+        for i, (n, r, s) in enumerate(points)
+    ]
 
 
 def default_estimators(config: TludConfig | None = None) -> dict:

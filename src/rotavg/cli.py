@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-
-import numpy as np
 
 from rotavg import bench, fileio, registration, so3
 from rotavg.averaging import TludConfig, robust_average
@@ -88,23 +87,11 @@ def _cmd_average(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    seed = {} if args.seed is None else {"seed": args.seed}  # no --seed: each builder's default
     if args.preset == "desk":
-        scenarios = bench.desk_preset(7 if args.seed is None else args.seed)
+        scenarios = bench.desk_preset(**seed)
     else:
-        seed0 = 0 if args.seed is None else args.seed
-        scenarios = []
-        for n in args.n:
-            for ratio in args.ratio:
-                for sigma in args.sigma:
-                    scenarios.append(
-                        bench.BenchScenario(
-                            n_samples=n,
-                            outlier_ratio=ratio,
-                            sigma_deg=sigma,
-                            n_trials=args.trials,
-                            seed=seed0 + len(scenarios),
-                        )
-                    )
+        scenarios = bench.grid(args.n, args.ratio, args.sigma, args.trials, **seed)
     estimators = bench.default_estimators()
     methods = {}
     for name in args.methods.split(","):
@@ -112,7 +99,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if name not in estimators:
             raise ValueError(f"unknown method {name!r}; available: {', '.join(sorted(estimators))}")
         methods[name] = estimators[name]
-    rows = bench.sweep(scenarios, methods, n_workers=args.workers)
+    rows = bench.sweep(scenarios, methods)
     timing = not args.no_timing
     print(bench.format_summary_table(rows, timing=timing))
     if args.out_csv:
@@ -128,36 +115,18 @@ def _cmd_register(args: argparse.Namespace) -> int:
         # Two-file mode: clouds already correspond point-for-point.
         dst = fileio.load_cloud(args.dst)
         scen = registration.RegistrationScenario(
-            scale=None,
-            rotation=None,
-            translation=None,
-            noise_sigma=args.noise_sigma,
-            outlier_fraction=0.0,
-            n_hypotheses=args.hypotheses,
-            ratio_tolerance=args.ratio_tol,
-            seed=args.seed,
+            scale=None, rotation=None, translation=None, noise_sigma=args.noise_sigma,
+            n_hypotheses=args.hypotheses, ratio_tolerance=args.ratio_tol, seed=args.seed,
         )
-        truth = None
     else:
         # Scenario mode: corrupt the cloud ourselves and score the recovery.
-        rng = np.random.default_rng(
-            np.random.SeedSequence([args.seed, registration._TAG_NORMALIZE])
+        src, dst, scen = registration.synthetic_pair(
+            src, args.seed, args.outlier_fraction, n_points=args.points,
+            n_hypotheses=args.hypotheses, noise_sigma=args.noise_sigma,
+            ratio_tolerance=args.ratio_tol, scale=args.scale,
         )
-        src = registration.normalize_cloud(src, args.points, rng)
-        scen = registration.make_scenario(
-            seed=args.seed,
-            outlier_fraction=args.outlier_fraction,
-            n_hypotheses=args.hypotheses,
-            noise_sigma=args.noise_sigma,
-            ratio_tolerance=args.ratio_tol,
-            scale=args.scale,
-        )
-        dst = registration.corrupt_cloud(src, scen)
-        truth = scen.rotation
 
-    hyps = registration.harvest_hypotheses(
-        src, dst, scen, attempt_cap=args.attempt_cap, n_workers=args.workers
-    )
+    hyps = registration.harvest_hypotheses(src, dst, scen, attempt_cap=args.attempt_cap)
     if args.out_hypotheses:
         fileio.write_rotations(args.out_hypotheses, hyps, header="hypothesis rotations, row-major")
     result = robust_average(hyps, _tlud_config(args))
@@ -168,10 +137,8 @@ def _cmd_register(args: argparse.Namespace) -> int:
         "iterations": int(result.iterations),
         "n_hypotheses": int(len(hyps)),
     }
-    if truth is not None:
-        payload["error_deg"] = float(
-            np.degrees(so3.geodesic_distance(result.estimate, truth))
-        )
+    if args.dst is None:
+        payload["error_deg"] = math.degrees(so3.geodesic_distance(result.estimate, scen.rotation))
     _dump_json(payload, args.out_json)
     return 0
 

@@ -116,7 +116,8 @@ def read_rotations(path, fmt: str = "mat9", repair: bool = False):
     finite = np.isfinite(values).all(axis=1)
     nonfinite = (~finite, RotationFormatError, "non-finite value")
     if fmt == "quat":
-        zero = np.linalg.norm(values, axis=1) < 1e-12
+        with np.errstate(over="ignore"):  # an overflowing norm is not zero
+            zero = np.linalg.norm(values, axis=1) < 1e-12
         _raise_first(lines, deferred, nonfinite, (zero, RotationFormatError, "zero-norm quaternion"))
         return so3.quaternion_to_matrix(values), 0
     stack = values.reshape(-1, 3, 3)

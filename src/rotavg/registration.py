@@ -32,6 +32,7 @@ __all__ = [
     "make_scenario",
     "normalize_cloud",
     "corrupt_cloud",
+    "synthetic_pair",
     "triangle_ratio_check",
     "align_three_points",
     "harvest_hypotheses",
@@ -222,6 +223,20 @@ def corrupt_cloud(points, scen: RegistrationScenario) -> np.ndarray:
     return q
 
 
+def synthetic_pair(
+    cloud, seed: int, outlier_fraction: float, n_points: int = 1000, **scenario
+) -> tuple[np.ndarray, np.ndarray, RegistrationScenario]:
+    """(src, dst, scen) for one seed: what `rotavg register` runs on one cloud.
+
+    src is cloud fitted by normalize_cloud to n_points (on a stream derived
+    from seed), scen is make_scenario(seed, outlier_fraction, **scenario),
+    and dst is corrupt_cloud(src, scen); scen.rotation is the truth.
+    """
+    src = normalize_cloud(cloud, n_points, _stream(seed, _TAG_NORMALIZE))
+    scen = make_scenario(seed, outlier_fraction, **scenario)
+    return src, corrupt_cloud(src, scen), scen
+
+
 def _ratio_test(cols: np.ndarray, idx: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(passed, degenerate) masks of the ratio test on triangles idx (m, 3).
 
@@ -388,7 +403,6 @@ def register_rotation(
     config: TludConfig | None = None,
     attempt_cap: int = 1_000_000,
     batch_size: int = 4096,
-    n_workers: int = 1,
 ) -> AveragingResult:
     """Estimate the rotation between corresponding clouds.
 
@@ -396,7 +410,5 @@ def register_rotation(
     robust-averages them.  The returned inlier indices refer to the
     hypothesis list, not to cloud points.
     """
-    hyps = harvest_hypotheses(
-        src, dst, scen, attempt_cap=attempt_cap, batch_size=batch_size, n_workers=n_workers
-    )
+    hyps = harvest_hypotheses(src, dst, scen, attempt_cap=attempt_cap, batch_size=batch_size)
     return robust_average(hyps, config)

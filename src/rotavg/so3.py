@@ -47,6 +47,10 @@ ROTATION_TOL = 1e-6
 # having a unique answer.
 _NONUNIQUE_TOL = 1e-12
 
+# Quaternion norms below this have squares below the smallest normal float,
+# so they have lost precision or underflowed to zero.
+_MIN_QUAT_NORM = np.sqrt(np.finfo(float).tiny)
+
 
 class NotSkewSymmetric(ValueError):
     """Input to vee() has a symmetric part above tolerance."""
@@ -131,33 +135,41 @@ def exp_map(v: np.ndarray) -> np.ndarray:
     return np.eye(3) + a[..., None, None] * K + b[..., None, None] * K2
 
 
-def _log_near_pi(R: np.ndarray, theta: float) -> np.ndarray:
-    """Axis-angle vector for a rotation within NEAR_PI_BAND of a half turn."""
+def _angle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Angle theta, skew vector w and ||w|| of each matrix in a (..., 3, 3) stack.
+
+    On a rotation w = 2 sin(theta) * axis and the trace is 1 + 2 cos(theta),
+    so atan2(||w||/2, (tr - 1)/2) recovers theta with full precision over the
+    whole of [0, pi]; arccos of the trace alone bottoms out near sqrt(eps).
+    """
+    tr = np.einsum("...ii->...", m)
+    w = np.stack([m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0],
+                  m[..., 1, 0] - m[..., 0, 1]], axis=-1)
+    wn = np.linalg.norm(w, axis=-1)
+    return np.arctan2(0.5 * wn, 0.5 * (tr - 1.0)), w, wn
+
+
+def _log_near_pi(R: np.ndarray, w: np.ndarray, wn: np.ndarray) -> np.ndarray:
+    """Rotation vectors of a (k, 3, 3) stack within NEAR_PI_BAND of a half
+    turn, given the rows' skew vectors w and norms wn from _angle."""
     # Symmetrizing removes the sin(theta)-scaled skew part, leaving
     # ((1+cos)/2) I + ((1-cos)/2) aa^T; the dominant diagonal entry then
     # exposes the axis with O((pi-theta)^2) error.
-    A = 0.5 * (0.5 * (R + R.T) + np.eye(3))
-    k = int(np.argmax(np.diag(A)))
-    axis = A[k] / np.sqrt(A[k, k])  # A[k, k] >= ~1/3 for a unit axis
-    axis = axis / np.linalg.norm(axis)
-    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
-    wn = float(np.linalg.norm(w))
+    A = 0.5 * (0.5 * (R + np.swapaxes(R, -1, -2)) + np.eye(3))
+    rows = np.arange(len(A))
+    diag = np.einsum("kii->ki", A)
+    k = np.argmax(diag, axis=-1)
+    axis = A[rows, k] / np.sqrt(diag[rows, k])[:, None]  # A[k, k] >= ~1/3 for a unit axis
+    axis /= np.linalg.norm(axis, axis=-1, keepdims=True)
     # arccos of the trace resolves the angle only to ~sqrt(eps) this close to
     # pi; ||w|| = 2 sin(theta) pins the same angle to full precision
-    theta = np.pi - np.arcsin(min(1.0, 0.5 * wn))
-    if wn > 1e-12:
-        # strictly below pi the sign is still determined by the skew part
-        if float(axis @ w) < 0.0:
-            axis = -axis
-    else:
-        # at pi both signs are valid; pick the representative whose first
-        # nonzero component is positive
-        for c in axis:
-            if abs(c) > 1e-9:
-                if c < 0.0:
-                    axis = -axis
-                break
-    return theta * axis
+    theta = np.pi - np.arcsin(np.minimum(1.0, 0.5 * wn))
+    # Strictly below pi the skew part still fixes the sign.  At pi both signs
+    # are valid; pick the one whose first nonzero component is positive.
+    first = axis[rows, np.argmax(np.abs(axis) > 1e-9, axis=-1)]
+    flip = np.where(wn > 1e-12, np.einsum("ki,ki->k", axis, w) < 0.0, first < 0.0)
+    axis[flip] *= -1.0
+    return theta[:, None] * axis
 
 
 def log_map(r: np.ndarray) -> np.ndarray:
@@ -170,31 +182,15 @@ def log_map(r: np.ndarray) -> np.ndarray:
     """
     r = np.asarray(r, dtype=float)
     _check_mat3(r)
-    single = r.ndim == 2
     R = r.reshape((-1, 3, 3))
-    tr = np.einsum("nii->n", R)
-    w = np.stack(
-        [
-            R[:, 2, 1] - R[:, 1, 2],
-            R[:, 0, 2] - R[:, 2, 0],
-            R[:, 1, 0] - R[:, 0, 1],
-        ],
-        axis=-1,
-    )
-    wn = np.linalg.norm(w, axis=-1)
-    # On a rotation, ||w|| == 2 sin(theta) and tr == 1 + 2 cos(theta), so
-    # atan2 recovers theta with full precision over the whole of [0, pi] —
-    # arccos of the trace alone bottoms out near sqrt(eps) at both ends.
-    theta = np.arctan2(0.5 * wn, 0.5 * (tr - 1.0))
+    theta, w, wn = _angle(R)
     v = np.zeros((R.shape[0], 3))
     main = (theta >= SMALL_ANGLE) & (theta < np.pi - NEAR_PI_BAND)
-    if np.any(main):
-        # theta/(2 sin theta) * w, with 2 sin(theta) evaluated as ||w||
-        v[main] = (theta[main] / wn[main])[:, None] * w[main]
-    for i in np.flatnonzero(theta >= np.pi - NEAR_PI_BAND):
-        v[i] = _log_near_pi(R[i], float(theta[i]))
-    if single:
-        return v[0]
+    # theta/(2 sin theta) * w, with 2 sin(theta) evaluated as ||w||
+    v[main] = (theta[main] / wn[main])[:, None] * w[main]
+    near = theta >= np.pi - NEAR_PI_BAND
+    if near.any():  # an empty call costs more than the main branch
+        v[near] = _log_near_pi(R[near], w[near], wn[near])
     return v.reshape(r.shape[:-2] + (3,))
 
 
@@ -202,26 +198,15 @@ def geodesic_distance(r1: np.ndarray, r2: np.ndarray) -> float | np.ndarray:
     """Rotation angle of r1 @ r2.T in radians, within [0, pi].
 
     The angle comes out of atan2(sin, cos) with the sine read off the skew
-    part of r1 @ r2.T and the cosine off its trace, which stays accurate for
-    angles arbitrarily close to 0 and pi alike (arccos of the trace alone
-    cannot resolve below ~1e-8 at either end).  Broadcasts over leading
-    dimensions.
+    part of r1 @ r2.T and the cosine off its trace (see _angle), which stays
+    accurate for angles arbitrarily close to 0 and pi alike.  Broadcasts
+    over leading dimensions.
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
     _check_mat3(r1)
     _check_mat3(r2)
-    m = r1 @ np.swapaxes(r2, -1, -2)
-    tr = np.einsum("...ii->...", m)
-    sin2 = np.stack(
-        [
-            m[..., 2, 1] - m[..., 1, 2],
-            m[..., 0, 2] - m[..., 2, 0],
-            m[..., 1, 0] - m[..., 0, 1],
-        ],
-        axis=-1,
-    )
-    d = np.arctan2(0.5 * np.linalg.norm(sin2, axis=-1), 0.5 * (tr - 1.0))
+    d = _angle(r1 @ np.swapaxes(r2, -1, -2))[0]
     return float(d) if np.ndim(d) == 0 else d
 
 
@@ -279,15 +264,18 @@ def is_rotation(m: np.ndarray, tol: float = 1e-9) -> bool | np.ndarray:
     # same Frobenius norm as m.T @ m - I (the two Gram matrices share their
     # eigenvalues).
     a, b, c, d, e, f, g, h, i = np.moveaxis(m.reshape(m.shape[:-2] + (9,)), -1, 0)
-    s00 = a * a + b * b + c * c - 1.0
-    s11 = d * d + e * e + f * f - 1.0
-    s22 = g * g + h * h + i * i - 1.0
-    s01 = a * d + b * e + c * f
-    s02 = a * g + b * h + c * i
-    s12 = d * g + e * h + f * i
-    orth = np.sqrt(s00 * s00 + s11 * s11 + s22 * s22 + 2.0 * (s01 * s01 + s02 * s02 + s12 * s12))
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    ok = (orth <= tol) & (np.abs(det - 1.0) <= tol)
+    # Huge or non-finite entries give inf or nan residuals, which fail the
+    # comparisons; the overflow warning would say nothing more.
+    with np.errstate(over="ignore", invalid="ignore"):
+        s00 = a * a + b * b + c * c - 1.0
+        s11 = d * d + e * e + f * f - 1.0
+        s22 = g * g + h * h + i * i - 1.0
+        s01 = a * d + b * e + c * f
+        s02 = a * g + b * h + c * i
+        s12 = d * g + e * h + f * i
+        orth = np.sqrt(s00 * s00 + s11 * s11 + s22 * s22 + 2.0 * (s01 * s01 + s02 * s02 + s12 * s12))
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        ok = (orth <= tol) & (np.abs(det - 1.0) <= tol)
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 
@@ -352,16 +340,29 @@ def matrix_to_quaternion(r: np.ndarray) -> np.ndarray:
 def quaternion_to_matrix(q: np.ndarray) -> np.ndarray:
     """Rotation matrix of each quaternion (w, x, y, z), normalised first.
 
+    A row whose norm overflows, or whose squared norm is below the normal
+    floats, is divided by its largest magnitude before normalising.
+
     Args:
-        q: array with trailing dimension 4 and no zero rows.
+        q: array with trailing dimension 4, finite and with no zero rows.
 
     Returns:
         Array with trailing dimensions (3, 3).
+
+    Raises:
+        ValueError: for a non-finite or all-zero row.
     """
     q = np.asarray(q, dtype=float)
     if q.shape[-1:] != (4,):
         raise ValueError(f"expected trailing dimension 4, got shape {q.shape}")
-    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
+    peak = np.abs(q).max(axis=-1, keepdims=True)
+    if not (np.isfinite(q).all() and peak.all()):
+        raise ValueError("every quaternion must be finite and nonzero")
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(q, axis=-1, keepdims=True)
+    rescale = (norm < _MIN_QUAT_NORM) | np.isinf(norm)
+    q = q / np.where(rescale, peak, 1.0)
+    q = q / np.where(rescale, np.linalg.norm(q, axis=-1, keepdims=True), norm)
     w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     return np.stack(
         [

@@ -7,7 +7,9 @@ loops instead of blocked matrix products, and brute-force grid/descent
 searches instead of closed forms.  None of it imports the package, except
 the file readers at the end: they are the package's former line-at-a-time
 readers, kept as the reference for the batched ones, and raise the package's
-exception types with the package's own so3 checks.
+exception types with the package's own so3 checks.  log_near_pi_scalar is
+likewise the package's former per-row near-half-turn logarithm, kept as the
+reference for the batched one.
 """
 
 from __future__ import annotations
@@ -80,6 +82,33 @@ def log_via_quaternion(R) -> np.ndarray:
         return np.zeros(3)
     theta = 2.0 * math.atan2(vec_norm, float(q[0]))
     return (theta / vec_norm) * q[1:]
+
+
+def log_near_pi_scalar(R) -> np.ndarray:
+    """Rotation vector of one rotation within so3.NEAR_PI_BAND of a half turn.
+
+    The axis is the dominant row of the symmetric part, the angle comes from
+    ||w|| = 2 sin(theta), and the sign from the skew part w; at exactly pi,
+    where w vanishes, the first nonzero axis component is made positive.
+    """
+    R = np.asarray(R, dtype=float)
+    A = 0.5 * (0.5 * (R + R.T) + np.eye(3))
+    k = int(np.argmax(np.diag(A)))
+    axis = A[k] / np.sqrt(A[k, k])
+    axis = axis / np.linalg.norm(axis)
+    w = np.array([R[2, 1] - R[1, 2], R[0, 2] - R[2, 0], R[1, 0] - R[0, 1]])
+    wn = float(np.linalg.norm(w))
+    theta = np.pi - np.arcsin(min(1.0, 0.5 * wn))
+    if wn > 1e-12:
+        if float(axis @ w) < 0.0:
+            axis = -axis
+    else:
+        for c in axis:
+            if abs(c) > 1e-9:
+                if c < 0.0:
+                    axis = -axis
+                break
+    return theta * axis
 
 
 # --------------------------------------------------------------------------

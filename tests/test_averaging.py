@@ -214,6 +214,29 @@ def test_center_and_seed_must_be_rotations(call, name):
         call(samples)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda Rs: proxy_initialize(Rs[:50], math.nan),
+        lambda Rs: proxy_initialize(Rs, math.nan),
+        lambda Rs: select_inliers(np.eye(3), Rs, math.nan),
+        lambda Rs: select_inliers(np.eye(3), Rs, -1.0),
+        lambda Rs: tlud_cost_chordal(np.eye(3), Rs, math.nan),
+        lambda Rs: tlud_cost_geodesic(np.eye(3), Rs, -1.0),
+        lambda Rs: weiszfeld_geodesic_l1(Rs, [0, 1], np.eye(3), delta=math.nan),
+        lambda Rs: TludConfig(delta=math.nan),
+    ],
+    ids=["proxy-nan-n50", "proxy-nan-n1200", "select_inliers-nan", "select_inliers-negative",
+         "tlud_chordal-nan", "tlud_geodesic-negative", "weiszfeld-nan-delta", "config-nan-delta"],
+)
+def test_thresholds_must_be_positive(call):
+    # before this check these raised IndexError, returned [], nan or -1200.0,
+    # or were accepted
+    samples = random_rotations(np.random.default_rng(58), 1200)
+    with pytest.raises(ValueError, match="must be positive, got"):
+        call(samples)
+
+
 # --------------------------------------------------------------------------
 # inlier selection
 

@@ -15,6 +15,7 @@ from rotavg.bench import (
     desk_preset,
     format_summary_table,
     generate_trial,
+    grid,
     random_inlier,
     random_outlier,
     run_scenario,
@@ -208,6 +209,25 @@ def test_sweep_shapes():
     assert [r.method for r in rows].count("tlud") == 3
     for row in rows:
         assert len(row.report.per_trial_error_deg) == row.scenario.n_trials
+
+
+def test_grid_matches_nested_loop_order_and_seeds():
+    ns, ratios, sigmas = [50, 120], [0.3, 0.6, 0.9], [1.0, 5.0]
+    expected = []
+    for n in ns:
+        for ratio in ratios:
+            for sigma in sigmas:
+                expected.append(
+                    BenchScenario(
+                        n_samples=n, outlier_ratio=ratio, sigma_deg=sigma, n_trials=4,
+                        seed=11 + len(expected),
+                    )
+                )
+    assert grid(ns, ratios, sigmas, 4, seed=11) == expected
+    assert [s.seed for s in grid([10], [0.5], [1.0, 2.0], 3)] == [0, 1]
+    assert grid([], [0.5], [1.0], 3) == []
+    with pytest.raises(ValueError):
+        grid([10], [1.0], [1.0], 3)
 
 
 def test_desk_preset_matches_acceptance_scale():

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -309,6 +310,22 @@ def test_cli_average_quat_format(tmp_path, capsys):
     assert main(["average", str(path), "--format", "quat"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["inlier_indices"] == [0, 1]
+
+
+def test_cli_average_huge_entries_quietly(tmp_path, capsys):
+    # a quaternion whose norm overflows is scaled, not read as the identity
+    quat = tmp_path / "q.txt"
+    quat.write_text("1e200 1e200 0 0\n")
+    mat = tmp_path / "m.txt"
+    mat.write_text("1e200 0 0 0 1 0 0 0 1\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["average", str(quat), "--format", "quat"]) == 0
+        estimate = np.array(json.loads(capsys.readouterr().out)["estimate"]).reshape(3, 3)
+        quarter_turn_x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        assert so3.geodesic_distance(estimate, quarter_turn_x) < 1e-12
+        assert main(["average", str(mat)]) == 3
+    assert "line 1" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 import os
@@ -19,6 +20,7 @@ from rotavg.registration import (
     make_scenario,
     normalize_cloud,
     register_rotation,
+    synthetic_pair,
     triangle_ratio_check,
 )
 
@@ -139,6 +141,23 @@ def test_corrupt_cloud_determinism():
     src = normalize_cloud(blob(rng), 200, rng)
     scen = make_scenario(seed=5, outlier_fraction=0.5)
     assert np.array_equal(corrupt_cloud(src, scen), corrupt_cloud(src, scen))
+
+
+def test_synthetic_pair_matches_hand_built_scenario():
+    # acceptance criterion 6 builds its scenarios by hand, in this order
+    cloud = load_cloud(DATA)
+    for seed, frac in ((0, 0.90), (3, 0.96), (9, 0.90), (1584494583, 0.96)):
+        rng = np.random.default_rng(np.random.SeedSequence([seed, registration._TAG_NORMALIZE]))
+        src = normalize_cloud(cloud, 1000, rng)
+        scen = make_scenario(seed=seed, outlier_fraction=frac, noise_sigma=0.01, n_hypotheses=2000)
+        dst = corrupt_cloud(src, scen)
+        got = synthetic_pair(cloud, seed, frac, noise_sigma=0.01, n_hypotheses=2000)
+        assert got[0].tobytes() == src.tobytes()
+        assert got[1].tobytes() == dst.tobytes()
+        for f in dataclasses.fields(RegistrationScenario):
+            a, b = getattr(got[2], f.name), getattr(scen, f.name)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
+    assert synthetic_pair(cloud, 5, 0.5, n_points=300, scale=2.0)[0].shape == (300, 3)
 
 
 def test_corrupt_cloud_needs_full_transform():

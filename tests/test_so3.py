@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from rotavg import so3
 
 from _oracles import (
+    log_near_pi_scalar,
     log_via_quaternion,
     project_bruteforce,
     quat_from_matrix,
@@ -148,6 +150,36 @@ def test_log_half_turn_axes():
     v = so3.log_map(R)
     assert v[0] > 0.0  # first nonzero component positive
     assert min(np.linalg.norm(v - axis * math.pi), np.linalg.norm(v + axis * math.pi)) < 1e-6
+
+
+def _half_turn(axis):
+    a = np.asarray(axis, dtype=float) / np.linalg.norm(axis)
+    return 2.0 * np.outer(a, a) - np.eye(3)
+
+
+def test_log_near_pi_batch_matches_scalar_oracle():
+    rng = np.random.default_rng(28)
+    exact = [
+        np.diag([1.0, -1.0, -1.0]),
+        np.diag([-1.0, -1.0, 1.0]),
+        np.diag([-1.0, 1.0, -1.0]),
+        so3.exp_map(np.ones(3) / math.sqrt(3.0) * math.pi),
+        _half_turn([1.0, 1.0, 1.0]),
+        # the dominant diagonal entry is not the first nonzero component, so
+        # the row it picks starts negative and the sign rule must flip it
+        _half_turn([0.3, -0.9, 0.2]),
+        _half_turn([0.0, 0.2, -0.9]),
+    ]
+    R = np.concatenate([np.stack(exact), _near_pi_rotations(rng, 2000)])
+    theta = so3.geodesic_distance(R, np.eye(3))
+    in_band = theta >= math.pi - so3.NEAR_PI_BAND
+    assert in_band[: len(exact)].all() and in_band.sum() > 1500
+    v = so3.log_map(R)
+    ref = np.stack([log_near_pi_scalar(r) for r in R[in_band]])
+    assert np.abs(v[in_band] - ref).max() <= 1e-15
+    # exact half turns: the sign convention, not just closeness
+    assert np.array_equal(np.sign(v[: len(exact)]), np.sign(ref[: len(exact)]))
+    assert v[5, 0] > 0.0 and v[6, 1] > 0.0
 
 
 # --------------------------------------------------------------------------
@@ -383,3 +415,28 @@ def test_quaternion_to_matrix_normalises_and_ignores_sign():
     assert so3.quaternion_to_matrix(q.reshape(5, 10, 4)).shape == (5, 10, 3, 3)
     with pytest.raises(ValueError):
         so3.quaternion_to_matrix(np.ones(3))
+
+
+def test_quaternion_to_matrix_extreme_scales_and_bad_rows():
+    quarter_turn_x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    extreme = [[1e200, 1e200, 0, 0], [1e308, 1e308, 0, 0], [1e-170, 1e-170, 0, 0],
+               [5e-324, 5e-324, 0, 0]]
+    ordinary = np.random.default_rng(29).normal(size=(20, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        R = so3.quaternion_to_matrix(np.concatenate([extreme, ordinary]))
+    assert np.abs(R[: len(extreme)] - quarter_turn_x).max() < 1e-15
+    # an extreme row does not change the arithmetic of the rows beside it
+    assert np.array_equal(R[len(extreme):], so3.quaternion_to_matrix(ordinary))
+    for bad in ([0.0, 0.0, 0.0, 0.0], [np.nan, 0.0, 0.0, 1.0], [np.inf, 0.0, 0.0, 0.0]):
+        with pytest.raises(ValueError, match="finite and nonzero"):
+            so3.quaternion_to_matrix(np.array([[1.0, 0.0, 0.0, 0.0], bad]))
+
+
+def test_is_rotation_rejects_huge_entries_quietly():
+    m = np.eye(3)
+    m[0, 0] = 1e200
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not so3.is_rotation(m)
+        assert not so3.is_rotation(np.full((3, 3), 1e300))
