@@ -179,7 +179,16 @@ def _as_rotation(m, name: str) -> np.ndarray:
 
 
 def _as_index_set(subset, n: int) -> np.ndarray:
-    idx = np.unique(np.asarray(subset, dtype=np.int64).reshape(-1))
+    """Sorted unique int64 indices into a stack of n samples.
+
+    Only integer indices are taken: a cast would read a boolean mask as rows
+    0 and 1 and truncate 2.9 to row 2.  An empty subset of any dtype (a bare
+    [] is float64) is the empty set.
+    """
+    a = np.asarray(subset)
+    if a.size and a.dtype.kind not in "iu":
+        raise TypeError(f"subset must hold integer indices, got dtype {a.dtype}")
+    idx = np.unique(a.astype(np.int64, copy=False).reshape(-1))
     if idx.size and (idx[0] < 0 or idx[-1] >= n):
         raise IndexError(f"subset indices must lie in [0, {n}), got range [{idx[0]}, {idx[-1]}]")
     return idx
@@ -377,9 +386,7 @@ def _lowest_least(costs: np.ndarray) -> int:
     return int(np.flatnonzero(costs <= costs.min() + _COST_TOL * len(costs))[0])
 
 
-def proxy_initialize(
-    samples: np.ndarray, epsilon_c: float = 0.5, block_size: int = 256
-) -> tuple[int, np.ndarray]:
+def proxy_initialize(samples: np.ndarray, epsilon_c: float = 0.5) -> tuple[int, np.ndarray]:
     """Index and value of the input rotation with the least truncated chordal cost.
 
     cost_j = sum_i min(d_ij, epsilon_c) with d the chordal (Frobenius)
@@ -406,7 +413,6 @@ def proxy_initialize(
     Args:
         samples: (N, 3, 3) stack of rotations.
         epsilon_c: chordal truncation threshold.
-        block_size: rows of the Gram product evaluated per step (memory knob).
 
     Returns:
         (index, rotation) of the best candidate.
@@ -416,14 +422,12 @@ def proxy_initialize(
     """
     Rs = _as_rotation_stack(samples)
     _positive("epsilon_c", epsilon_c)
-    if block_size < 1:
-        raise ValueError(f"block_size must be at least 1, got {block_size}")
     n = len(Rs)
     costs = None
     if n >= _GRID_MIN_N:
         costs = _grid_costs(Rs, epsilon_c, max_pairs=_GRID_MAX_SHARE * n * n)
     if costs is None:
-        costs = _dense_costs(np.ascontiguousarray(Rs.reshape(n, 9)), epsilon_c, block_size)
+        costs = _dense_costs(np.ascontiguousarray(Rs.reshape(n, 9)), epsilon_c)
     j = _lowest_least(costs)
     return j, Rs[j].copy()
 

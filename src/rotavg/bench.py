@@ -1,11 +1,9 @@
 """Seeded Monte-Carlo benchmarks for the rotation averaging estimators.
 
 Each trial owns an RNG stream derived from (scenario seed, trial index), so
-reports are reproducible.  Trials run serially in the calling thread; the
-thread pool is gone (it gained nothing measurable) and n_workers is accepted
-for compatibility and ignored.  Results can be dumped as a per-trial CSV
-plus a per-scenario JSON summary; the column order of the CSV is part of the
-file contract.
+reports are reproducible.  Results can be dumped as a per-trial CSV plus a
+per-scenario JSON summary; the column order of the CSV is part of the file
+contract.
 """
 
 from __future__ import annotations
@@ -76,8 +74,8 @@ class BenchScenario:
             raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
         if not 0.0 <= self.outlier_ratio < 1.0:
             raise ValueError(f"outlier_ratio must lie in [0, 1), got {self.outlier_ratio}")
-        if self.sigma_deg < 0.0:
-            raise ValueError(f"sigma_deg must be non-negative, got {self.sigma_deg}")
+        if not (self.sigma_deg >= 0.0 and math.isfinite(self.sigma_deg)):
+            raise ValueError(f"sigma_deg must be finite and non-negative, got {self.sigma_deg}")
         if self.n_trials < 1:
             raise ValueError(f"n_trials must be at least 1, got {self.n_trials}")
         if not 0 <= self.seed < _MAX_SEED:
@@ -167,15 +165,13 @@ def generate_trial(scenario: BenchScenario, trial: int) -> tuple[np.ndarray, np.
     return samples[rng.permutation(scenario.n_samples)], truth
 
 
-def run_scenario(scenario: BenchScenario, method, n_workers: int = 1) -> BenchReport:
+def run_scenario(scenario: BenchScenario, method) -> BenchReport:
     """Run one scenario's trials through one estimator.
 
     Args:
         scenario: what to generate.
         method: callable mapping an (N, 3, 3) stack to an object with an
             ``estimate`` attribute (an AveragingResult works).
-        n_workers: accepted for compatibility and ignored; the trials run
-            serially, as a thread pool over them gained nothing measurable.
 
     An exception out of the estimator is recorded as an infinite error for
     that trial rather than aborting the run.  Runtime measures the estimator
@@ -206,8 +202,10 @@ def sweep(scenarios, methods, n_workers: int = 1) -> list[SweepRow]:
     """Cartesian product of scenarios and named estimators, in given order.
 
     Both methods of a scenario see identical trial data (the data streams
-    depend only on the scenario seed, never on the estimator).  n_workers is
-    accepted for compatibility and ignored.
+    depend only on the scenario seed, never on the estimator).
+
+    n_workers is ignored: trials run one after another.  It stays because
+    the benchmark harness (perfbench/workloads.py, desk_sweep) passes it.
     """
     rows: list[SweepRow] = []
     for scen in scenarios:

@@ -186,8 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="estimators to run: tlud, geodesic_l1 (default tlud)")
     p_bench.add_argument("--preset", choices=("desk",), default=None,
                          help="ignore the grid flags and run a canned sweep")
-    p_bench.add_argument("--workers", type=int, default=1, metavar="W",
-                         help="accepted for compatibility and ignored: the trial thread pool is gone")
     p_bench.add_argument("--no-timing", action="store_true",
                          help="write zeros for runtime fields (byte-reproducible outputs)")
     p_bench.add_argument("--out-csv", metavar="PATH", help="write per-trial rows as CSV")
@@ -221,7 +219,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_reg.add_argument("--attempt-cap", type=int, default=1_000_000, metavar="A",
                        help="max 3-point samples before giving up (default 1000000)")
     p_reg.add_argument("--workers", type=int, default=1, metavar="W",
-                       help="accepted for compatibility and ignored: harvesting is serial")
+                       help="ignored (harvesting is serial); kept because the benchmark "
+                       "harness, perfbench/workloads.py, passes --workers 2")
     _add_tlud_flags(p_reg)
     p_reg.add_argument("--out-hypotheses", metavar="PATH",
                        help="write harvested hypotheses as mat9 text")

@@ -6,9 +6,6 @@ hypotheses from random 3-point samples (pre-filtered by a scale-free
 triangle side-ratio test) and then robust-averaging the hypothesis set.
 Correspondences are positional: point i in one cloud pairs with point i in
 the other.
-
-Harvesting runs its batches in one serial loop; harvest_hypotheses says
-why the thread pool went and why n_workers is still accepted.
 """
 
 from __future__ import annotations
@@ -101,7 +98,8 @@ class RegistrationScenario:
 
     scale/rotation/translation may be None for runs that only harvest (the
     CLI two-file mode); corrupt_cloud requires all three.  make_scenario
-    draws the missing ones from the seed.
+    draws the rotation and translation, and the scale unless given, from
+    the seed.
     """
 
     scale: float | None
@@ -120,13 +118,13 @@ class RegistrationScenario:
             raise ValueError("rotation must be a valid rotation matrix")
         if self.translation is not None and np.shape(self.translation) != (3,):
             raise ValueError(f"translation must be a 3-vector, got shape {np.shape(self.translation)}")
-        if self.noise_sigma < 0.0:
-            raise ValueError(f"noise_sigma must be non-negative, got {self.noise_sigma}")
+        if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
+            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
         if not 0.0 <= self.outlier_fraction <= 0.98:
             raise ValueError(f"outlier_fraction must lie in [0, 0.98], got {self.outlier_fraction}")
         if self.n_hypotheses < 1:
             raise ValueError(f"n_hypotheses must be at least 1, got {self.n_hypotheses}")
-        if self.ratio_tolerance < 0.0:
+        if not self.ratio_tolerance >= 0.0:  # inf is allowed: it turns the filter off
             raise ValueError(f"ratio_tolerance must be non-negative, got {self.ratio_tolerance}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
@@ -139,28 +137,24 @@ def make_scenario(
     noise_sigma: float = 0.01,
     ratio_tolerance: float = 0.1,
     scale: float | None = None,
-    rotation: np.ndarray | None = None,
-    translation: np.ndarray | None = None,
 ) -> RegistrationScenario:
-    """Materialize a scenario, drawing any unspecified transform from the seed.
+    """Materialize a scenario, drawing its transform from the seed.
 
-    The drawn scale is uniform in (1, 5), the rotation uniform over SO(3),
-    the translation uniform in [-1, 1]^3 (its range is immaterial: centroid
-    subtraction removes it downstream).
+    The scale, unless given, is uniform in (1, 5), the rotation uniform over
+    SO(3), the translation uniform in [-1, 1]^3 (its range is immaterial:
+    centroid subtraction removes it downstream).
     """
     rng = _stream(seed, _TAG_SCENARIO)
     if scale is None:
         scale = float(rng.uniform(1.0, 5.0))
         while scale <= 1.0:  # uniform(1, 5) can land exactly on 1
             scale = float(rng.uniform(1.0, 5.0))
-    if rotation is None:
-        rotation = random_outlier(rng)
-    if translation is None:
-        translation = rng.uniform(-1.0, 1.0, 3)
+    rotation = random_outlier(rng)
+    translation = rng.uniform(-1.0, 1.0, 3)
     return RegistrationScenario(
         scale=scale,
-        rotation=np.asarray(rotation, dtype=float),
-        translation=np.asarray(translation, dtype=float),
+        rotation=rotation,
+        translation=translation,
         noise_sigma=noise_sigma,
         outlier_fraction=outlier_fraction,
         n_hypotheses=n_hypotheses,
@@ -169,7 +163,7 @@ def make_scenario(
     )
 
 
-def normalize_cloud(points, target_count: int, rng=None) -> np.ndarray:
+def normalize_cloud(points, target_count: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform random downsample to target_count, then fit to the unit cube.
 
     The fitted cloud is centered on the origin with its axis-aligned bounding
@@ -178,15 +172,13 @@ def normalize_cloud(points, target_count: int, rng=None) -> np.ndarray:
     Args:
         points: (N, 3) array, N >= target_count.
         target_count: points to keep.
-        rng: generator, integer seed, or None for a fixed default stream.
+        rng: generator that draws the kept points.
     """
     p = _as_cloud(points)
     if target_count < 1:
         raise ValueError(f"target_count must be at least 1, got {target_count}")
     if len(p) < target_count:
         raise TooFewPoints(f"cannot downsample {len(p)} points to {target_count}")
-    if rng is None or isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(0 if rng is None else int(rng))
     p = p[rng.choice(len(p), size=target_count, replace=False)]
     lo = p.min(axis=0)
     hi = p.max(axis=0)
@@ -344,7 +336,6 @@ def harvest_hypotheses(
     scen: RegistrationScenario,
     attempt_cap: int = 1_000_000,
     batch_size: int = 4096,
-    n_workers: int = 1,
 ) -> np.ndarray:
     """Collect scen.n_hypotheses rotations from ratio-filtered 3-point samples.
 
@@ -353,14 +344,10 @@ def harvest_hypotheses(
     met.  Attempts run in fixed-size batches, one after another, each with
     its own RNG stream derived from (scenario seed, batch index); accepted
     hypotheses concatenate in batch order, so repeated runs give identical
-    output.  One DEBUG record on the "rotavg.registration" logger reports
-    batches, attempts, accepted count and acceptance rate.
-
-    The loop is serial.  The ratio test reads 1-D coordinate columns and
-    only the ~1% of triples that pass are gathered for Procrustes, so a
-    4096-attempt batch takes about 1 ms, and a thread pool over such batches
-    ran slower with two threads than with one.  n_workers is accepted for
-    compatibility and ignored.
+    output.  batch_size sets where one stream ends and the next begins, so
+    changing it changes which hypotheses are drawn.  One DEBUG record on the
+    "rotavg.registration" logger reports batches, attempts, accepted count
+    and acceptance rate.
 
     Raises:
         AttemptCapExceeded: when attempt_cap attempts cannot fill the quota.
@@ -401,14 +388,15 @@ def register_rotation(
     dst,
     scen: RegistrationScenario,
     config: TludConfig | None = None,
-    attempt_cap: int = 1_000_000,
-    batch_size: int = 4096,
 ) -> AveragingResult:
     """Estimate the rotation between corresponding clouds.
 
-    Harvests scen.n_hypotheses rotations from random 3-point samples and
-    robust-averages them.  The returned inlier indices refer to the
-    hypothesis list, not to cloud points.
+    Runs harvest_hypotheses with its default attempt cap and batch size,
+    then robust_average under config (TludConfig() when None).  The
+    returned inlier indices refer to the hypothesis list, not to cloud
+    points.  The estimate maps src directions onto dst directions.
+
+    Raises:
+        AttemptCapExceeded: when harvesting cannot fill scen.n_hypotheses.
     """
-    hyps = harvest_hypotheses(src, dst, scen, attempt_cap=attempt_cap, batch_size=batch_size)
-    return robust_average(hyps, config)
+    return robust_average(harvest_hypotheses(src, dst, scen), config)

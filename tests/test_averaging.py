@@ -149,16 +149,6 @@ def test_proxy_matches_scalar_oracle():
         assert np.array_equal(chosen, samples[idx])
 
 
-def test_proxy_block_size_never_changes_the_answer():
-    rng = np.random.default_rng(35)
-    samples, _ = contaminated_set(rng, 97, 60, 0.08)
-    ref_idx, ref = proxy_initialize(samples, block_size=256)
-    for bs in (1, 7, 64, 97, 1000):
-        idx, chosen = proxy_initialize(samples, block_size=bs)
-        assert idx == ref_idx
-        assert np.array_equal(chosen, ref)
-
-
 def test_proxy_empty_input():
     with pytest.raises(EmptyInput):
         proxy_initialize(np.empty((0, 3, 3)))
@@ -315,6 +305,25 @@ def test_chordal_mean_subset_and_errors():
     degenerate = np.stack([np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0])])
     with pytest.raises(so3.DegenerateMatrix):
         chordal_l2_mean(degenerate)
+
+
+def test_subset_must_hold_integer_indices():
+    # a cast would read the mask as rows 0 and 1, and 2.9 as row 2
+    rng = np.random.default_rng(44)
+    samples = random_rotations(rng, 5)
+    seed = chordal_l2_mean(samples)
+    for bad in ([False, False, True, True, True], np.ones(5, dtype=bool), [2.9], [0.0, 1.0]):
+        with pytest.raises(TypeError):
+            chordal_l2_mean(samples, subset=bad)
+        with pytest.raises(TypeError):
+            weiszfeld_geodesic_l1(samples, bad, seed)
+    for empty in ([], np.empty(0, dtype=bool)):
+        with pytest.raises(EmptySubset):
+            chordal_l2_mean(samples, subset=empty)
+        with pytest.raises(EmptySubset):
+            weiszfeld_geodesic_l1(samples, empty, seed)
+    unsigned = np.array([4, 2, 3], dtype=np.uint8)
+    assert np.array_equal(chordal_l2_mean(samples, unsigned), chordal_l2_mean(samples, [2, 3, 4]))
 
 
 # --------------------------------------------------------------------------

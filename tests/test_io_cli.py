@@ -365,6 +365,16 @@ def test_cli_bench_rejections(capsys):
     assert main(["bench", "--n", "20", "--ratio", "1.0", "--trials", "2"]) == 2
     assert main(["bench", "--n", "20", "--trials", "2", "--methods", "nope"]) == 2
     assert main(["bench", "--n", "0", "--trials", "2"]) == 2
+    for sigma in ("nan", "inf"):
+        assert main(["bench", "--n", "20", "--trials", "2", "--sigma", sigma]) == 2
+        assert "sigma_deg must be finite" in capsys.readouterr().err
+    capsys.readouterr()
+
+
+def test_cli_bench_has_no_workers_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bench", "--n", "20", "--trials", "2", "--workers", "1"])
+    assert exc.value.code == 2
     capsys.readouterr()
 
 
@@ -421,6 +431,19 @@ def test_cli_register_two_file_mode(tmp_path, capsys):
 def test_cli_register_missing_file(capsys):
     assert main(["register", "/does/not/exist.xyz"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--ratio-tol", "nan", "ratio_tolerance"),
+        ("--noise-sigma", "nan", "noise_sigma"),
+        ("--noise-sigma", "inf", "noise_sigma"),
+    ],
+)
+def test_cli_register_rejects_non_finite_parameters(capsys, flag, value, name):
+    assert main(["register", STANDIN, "--points", "100", "--hypotheses", "10", flag, value]) == 2
+    assert name in capsys.readouterr().err
 
 
 def test_cli_register_seeded_runs_match(tmp_path, capsys):
