@@ -16,14 +16,15 @@ back to a blocked Gram product over all pairs when most are (few outliers,
 small inputs).  Both searches are exact: they differ from the exhaustive
 cost only by roundoff.
 
-Every entry point checks its samples with so3.check_rotations, and its
-center or seed with so3.is_rotation, and raises so3.NotARotation for
-non-finite or non-rotation input.
+Each stage checks what it reads; composites add no check.  Stages check
+samples with so3.check_rotations and a center or seed with so3.is_rotation,
+raising so3.NotARotation, or EmptyInput for an empty stack.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -105,10 +106,8 @@ class TludConfig:
         if not 0.0 < self.epsilon_c < _TWO_SQRT_TWO:
             raise ValueError(f"epsilon_c must lie in (0, 2*sqrt(2)), got {self.epsilon_c}")
         _positive("delta", self.delta)
-        if self.it_max < 1:
-            raise ValueError(f"it_max must be at least 1, got {self.it_max}")
-        if self.realternate < 0:
-            raise ValueError(f"realternate must be non-negative, got {self.realternate}")
+        _count("it_max", self.it_max)
+        _count("realternate", self.realternate, least=0)
 
     @property
     def epsilon_g(self) -> float:
@@ -156,17 +155,23 @@ def _positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
-def _as_rotation_stack(samples: np.ndarray, allow_empty: bool = False) -> np.ndarray:
+def _count(name: str, value, least: int = 1) -> None:
+    """Raise ValueError unless value is an integer >= least; NaN and 2.5 fail too."""
+    if not (isinstance(value, numbers.Integral) and value >= least):
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value}")
+
+
+def _as_stack(samples, check: bool = True) -> np.ndarray:
+    """samples as a non-empty (N, 3, 3) float stack, checked to be rotations if check."""
     a = np.asarray(samples, dtype=float)
     if a.size == 0:
-        a = a.reshape(0, 3, 3)
-    if a.ndim == 2 and a.shape == (3, 3):
+        raise EmptyInput("need at least one rotation")
+    if a.shape == (3, 3):
         a = a[None]
     if a.ndim != 3 or a.shape[-2:] != (3, 3):
         raise ValueError(f"expected a stack of 3x3 rotations, got shape {np.shape(samples)}")
-    if not allow_empty and len(a) == 0:
-        raise EmptyInput("need at least one rotation")
-    so3.check_rotations(a)
+    if check:
+        so3.check_rotations(a)
     return a
 
 
@@ -196,7 +201,7 @@ def _as_index_set(subset, n: int) -> np.ndarray:
 
 def tlud_cost_geodesic(center: np.ndarray, samples: np.ndarray, epsilon_g: float) -> float:
     """Sum of geodesic deviations from center, each capped at epsilon_g."""
-    Rs = _as_rotation_stack(samples)
+    Rs = _as_stack(samples)
     _positive("epsilon_g", epsilon_g)
     d = so3.geodesic_distance(Rs, _as_rotation(center, "center"))
     return float(np.minimum(d, epsilon_g).sum())
@@ -204,7 +209,7 @@ def tlud_cost_geodesic(center: np.ndarray, samples: np.ndarray, epsilon_g: float
 
 def tlud_cost_chordal(center: np.ndarray, samples: np.ndarray, epsilon_c: float) -> float:
     """Sum of chordal (Frobenius) deviations from center, each capped at epsilon_c."""
-    Rs = _as_rotation_stack(samples)
+    Rs = _as_stack(samples)
     _positive("epsilon_c", epsilon_c)
     d = so3.chordal_distance(Rs, _as_rotation(center, "center"))
     return float(np.minimum(d, epsilon_c).sum())
@@ -420,7 +425,7 @@ def proxy_initialize(samples: np.ndarray, epsilon_c: float = 0.5) -> tuple[int, 
     Raises:
         so3.NotARotation: a sample is non-finite or not a rotation.
     """
-    Rs = _as_rotation_stack(samples)
+    Rs = _as_stack(samples)
     _positive("epsilon_c", epsilon_c)
     n = len(Rs)
     costs = None
@@ -434,11 +439,9 @@ def proxy_initialize(samples: np.ndarray, epsilon_c: float = 0.5) -> tuple[int, 
 
 def select_inliers(center: np.ndarray, samples: np.ndarray, epsilon_c: float = 0.5) -> np.ndarray:
     """Sorted indices of samples within chordal distance epsilon_c of center (inclusive)."""
-    Rs = _as_rotation_stack(samples, allow_empty=True)
+    Rs = _as_stack(samples)
     center = _as_rotation(center, "center")
     _positive("epsilon_c", epsilon_c)
-    if len(Rs) == 0:
-        return np.empty(0, dtype=np.int64)
     d = so3.chordal_distance(Rs, center)
     return np.flatnonzero(d <= epsilon_c).astype(np.int64)
 
@@ -452,7 +455,7 @@ def chordal_l2_mean(samples: np.ndarray, subset=None) -> np.ndarray:
         EmptySubset: when the subset selects nothing.
         so3.DegenerateMatrix: when the sum has no unique nearest rotation.
     """
-    Rs = _as_rotation_stack(samples, allow_empty=True)
+    Rs = _as_stack(samples)
     idx = np.arange(len(Rs)) if subset is None else _as_index_set(subset, len(Rs))
     if idx.size == 0:
         raise EmptySubset("cannot average an empty subset")
@@ -480,13 +483,12 @@ def weiszfeld_geodesic_l1(
     weights; when all of them coincide the iterate is already the median and
     the loop records a zero step and stops.
     """
-    Rs = _as_rotation_stack(samples)
+    Rs = _as_stack(samples)
     idx = _as_index_set(subset, len(Rs))
     if idx.size == 0:
         raise EmptySubset("cannot refine over an empty subset")
     _positive("delta", delta)
-    if it_max < 1:
-        raise ValueError(f"it_max must be at least 1, got {it_max}")
+    _count("it_max", it_max)
     sub = Rs[idx]
     R = _as_rotation(seed, "seed").copy()
     vi = so3.log_map(sub @ R.T)
@@ -529,22 +531,22 @@ def weiszfeld_geodesic_l1(
 def geodesic_l1_mean(samples: np.ndarray, delta: float = 0.001, it_max: int = 10) -> AveragingResult:
     """Plain geodesic median of all samples (no outlier handling).
 
-    Seeds from the chordal mean of the whole stack.  Useful as a baseline:
-    it is what the robust estimator degenerates to when every sample is kept.
+    weiszfeld_geodesic_l1 seeded from the chordal_l2_mean of the stack.
+    robust_average runs it on the proxy's inliers; over all samples it is
+    the baseline that robust_average degenerates to when every sample is kept.
     """
-    Rs = _as_rotation_stack(samples)
-    seed = chordal_l2_mean(Rs)
-    return weiszfeld_geodesic_l1(Rs, np.arange(len(Rs)), seed, delta=delta, it_max=it_max)
+    Rs = _as_stack(samples, check=False)
+    return weiszfeld_geodesic_l1(Rs, np.arange(len(Rs)), chordal_l2_mean(Rs), delta=delta, it_max=it_max)
 
 
 def robust_average(samples: np.ndarray, config: TludConfig | None = None) -> AveragingResult:
     """Average a contaminated stack of rotations under the truncated cost.
 
-    Runs proxy initialization over the inputs, keeps the samples within
-    config.epsilon_c (chordal) of the winner, seeds from their chordal mean,
-    and refines with the geodesic median over that subset.  With
-    config.realternate > 0 the select/refine pair is repeated, stopping early
-    once the inlier set stops changing.
+    geodesic_l1_mean over the proxy's inliers: proxy_initialize picks a
+    winner, select_inliers keeps the samples within config.epsilon_c
+    (chordal) of it.  With config.realternate > 0 the select/refine pair is
+    repeated around the estimate, stopping early once the inlier set stops
+    changing.
 
     Args:
         samples: (N, 3, 3) stack of rotations, N >= 1.
@@ -554,7 +556,7 @@ def robust_average(samples: np.ndarray, config: TludConfig | None = None) -> Ave
         AveragingResult with init_index set to the proxy winner.
     """
     cfg = config if config is not None else TludConfig()
-    Rs = _as_rotation_stack(samples)
+    Rs = _as_stack(samples, check=False)
     init_index, center = proxy_initialize(Rs, cfg.epsilon_c)
     result = None
     for _ in range(1 + cfg.realternate):
@@ -563,7 +565,6 @@ def robust_average(samples: np.ndarray, config: TludConfig | None = None) -> Ave
         inliers = select_inliers(center, Rs, cfg.epsilon_c)
         if result is not None and (inliers.size == 0 or np.array_equal(inliers, result.inliers)):
             break
-        seed = chordal_l2_mean(Rs, inliers)
-        result = weiszfeld_geodesic_l1(Rs, inliers, seed, cfg.delta, cfg.it_max)
+        result = replace(geodesic_l1_mean(Rs[inliers], cfg.delta, cfg.it_max), inliers=inliers)
         center = result.estimate
     return replace(result, init_index=init_index)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from rotavg import so3
-from rotavg.averaging import AveragingResult, TludConfig, geodesic_l1_mean, robust_average
+from rotavg.averaging import AveragingResult, TludConfig, _count, geodesic_l1_mean, robust_average
 
 __all__ = [
     "FAILURE_THRESHOLD_DEG",
@@ -70,15 +71,13 @@ class BenchScenario:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.n_samples < 1:
-            raise ValueError(f"n_samples must be at least 1, got {self.n_samples}")
+        _count("n_samples", self.n_samples)
         if not 0.0 <= self.outlier_ratio < 1.0:
             raise ValueError(f"outlier_ratio must lie in [0, 1), got {self.outlier_ratio}")
         if not (self.sigma_deg >= 0.0 and math.isfinite(self.sigma_deg)):
             raise ValueError(f"sigma_deg must be finite and non-negative, got {self.sigma_deg}")
-        if self.n_trials < 1:
-            raise ValueError(f"n_trials must be at least 1, got {self.n_trials}")
-        if not 0 <= self.seed < _MAX_SEED:
+        _count("n_trials", self.n_trials)
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < _MAX_SEED):
             raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
         if self.n_inliers < 1:
             raise ValueError(
@@ -155,8 +154,8 @@ def random_outlier(rng: np.random.Generator, n: int | None = None) -> np.ndarray
 
 def generate_trial(scenario: BenchScenario, trial: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic inputs for one trial: (shuffled samples, planted truth)."""
-    if not 0 <= trial < scenario.n_trials:
-        raise ValueError(f"trial must lie in [0, {scenario.n_trials}), got {trial}")
+    if not (isinstance(trial, numbers.Integral) and 0 <= trial < scenario.n_trials):
+        raise ValueError(f"trial must be an integer in [0, {scenario.n_trials}), got {trial}")
     rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, trial]))
     truth = random_outlier(rng)
     inliers = random_inlier(truth, scenario.sigma_deg, rng, n=scenario.n_inliers)

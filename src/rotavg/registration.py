@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from rotavg import so3
-from rotavg.averaging import AveragingResult, TludConfig, robust_average
+from rotavg.averaging import AveragingResult, TludConfig, _as_rotation, _count, robust_average
 from rotavg.bench import random_outlier
 
 __all__ = [
@@ -77,8 +78,15 @@ class AttemptCapExceeded(RuntimeError):
         self.accepted = accepted
 
 
+def _seed(seed: int) -> int:
+    """seed, or ValueError unless it is an integer in [0, 2**64)."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be a 64-bit non-negative integer, got {seed}")
+    return seed
+
+
 def _stream(seed: int, *tags: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([seed, *tags]))
+    return np.random.default_rng(np.random.SeedSequence([_seed(seed), *tags]))
 
 
 def _as_cloud(points, min_points: int = 1) -> np.ndarray:
@@ -97,9 +105,10 @@ class RegistrationScenario:
     """Corruption and harvesting parameters for one registration run.
 
     scale/rotation/translation may be None for runs that only harvest (the
-    CLI two-file mode); corrupt_cloud requires all three.  make_scenario
-    draws the rotation and translation, and the scale unless given, from
-    the seed.
+    CLI two-file mode); corrupt_cloud requires all three.  A given rotation
+    must pass the averaging stages' check (so3.ROTATION_TOL), or
+    so3.NotARotation is raised.  make_scenario draws the rotation and
+    translation, and the scale unless given, from the seed.
     """
 
     scale: float | None
@@ -114,20 +123,18 @@ class RegistrationScenario:
     def __post_init__(self) -> None:
         if self.scale is not None and not 1.0 < self.scale < 5.0:
             raise ValueError(f"scale must lie in (1, 5), got {self.scale}")
-        if self.rotation is not None and not so3.is_rotation(self.rotation):
-            raise ValueError("rotation must be a valid rotation matrix")
+        if self.rotation is not None:
+            _as_rotation(self.rotation, "rotation")
         if self.translation is not None and np.shape(self.translation) != (3,):
             raise ValueError(f"translation must be a 3-vector, got shape {np.shape(self.translation)}")
         if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
             raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
         if not 0.0 <= self.outlier_fraction <= 0.98:
             raise ValueError(f"outlier_fraction must lie in [0, 0.98], got {self.outlier_fraction}")
-        if self.n_hypotheses < 1:
-            raise ValueError(f"n_hypotheses must be at least 1, got {self.n_hypotheses}")
+        _count("n_hypotheses", self.n_hypotheses)
         if not self.ratio_tolerance >= 0.0:  # inf is allowed: it turns the filter off
             raise ValueError(f"ratio_tolerance must be non-negative, got {self.ratio_tolerance}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
+        _seed(self.seed)
 
 
 def make_scenario(
@@ -175,8 +182,7 @@ def normalize_cloud(points, target_count: int, rng: np.random.Generator) -> np.n
         rng: generator that draws the kept points.
     """
     p = _as_cloud(points)
-    if target_count < 1:
-        raise ValueError(f"target_count must be at least 1, got {target_count}")
+    _count("target_count", target_count)
     if len(p) < target_count:
         raise TooFewPoints(f"cannot downsample {len(p)} points to {target_count}")
     p = p[rng.choice(len(p), size=target_count, replace=False)]
@@ -356,10 +362,8 @@ def harvest_hypotheses(
     d = _as_cloud(dst, min_points=3)
     if len(s) != len(d):
         raise ValueError(f"clouds must correspond point-for-point, got {len(s)} vs {len(d)}")
-    if attempt_cap < 1:
-        raise ValueError(f"attempt_cap must be at least 1, got {attempt_cap}")
-    if batch_size < 1:
-        raise ValueError(f"batch_size must be at least 1, got {batch_size}")
+    _count("attempt_cap", attempt_cap)
+    _count("batch_size", batch_size)
     need = scen.n_hypotheses
     cols = np.ascontiguousarray(np.concatenate([s, d], axis=1).T)
     chunks: list[np.ndarray] = []

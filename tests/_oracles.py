@@ -9,11 +9,15 @@ the file readers at the end: they are the package's former line-at-a-time
 readers, kept as the reference for the batched ones, and raise the package's
 exception types with the package's own so3 checks.  log_near_pi_scalar is
 likewise the package's former per-row near-half-turn logarithm, kept as the
-reference for the batched one.
+reference for the batched one.  robust_average_stages is the package's
+former robust_average, which ran the chordal seed and the Weiszfeld
+refinement over inlier indices of the whole stack; it is the reference for
+the present one, which runs geodesic_l1_mean on the inlier rows.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 
@@ -404,3 +408,34 @@ def read_xyz_lines(path) -> np.ndarray:
     if not points:
         raise CloudFormatError(f"no points found in {os.fspath(path)}")
     return np.array(points)
+
+
+# --------------------------------------------------------------------------
+# the estimator written out stage by stage
+
+
+def robust_average_stages(samples, config):
+    """Proxy, then select, chordal seed and Weiszfeld over inlier indices.
+
+    The same rounds as robust_average: with config.realternate > 0 the
+    select/refine pair repeats around the estimate until the inlier set
+    stops changing or empties.
+    """
+    from rotavg.averaging import (
+        chordal_l2_mean,
+        proxy_initialize,
+        select_inliers,
+        weiszfeld_geodesic_l1,
+    )
+
+    Rs = np.asarray(samples, dtype=float).reshape(-1, 3, 3)
+    init_index, center = proxy_initialize(Rs, config.epsilon_c)
+    result = None
+    for _ in range(1 + config.realternate):
+        inliers = select_inliers(center, Rs, config.epsilon_c)
+        if result is not None and (inliers.size == 0 or np.array_equal(inliers, result.inliers)):
+            break
+        seed = chordal_l2_mean(Rs, inliers)
+        result = weiszfeld_geodesic_l1(Rs, inliers, seed, config.delta, config.it_max)
+        center = result.estimate
+    return dataclasses.replace(result, init_index=init_index)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from rotavg import so3
 from rotavg.averaging import (
+    _GRID_MIN_N,
     AveragingResult,
     EmptyInput,
     EmptySubset,
@@ -23,6 +25,7 @@ from _oracles import (
     chordal_mean_descent,
     geodesic_scalar,
     proxy_scalar,
+    robust_average_stages,
     tangent_grid_min,
     tlud_chordal_scalar,
     tlud_geodesic_scalar,
@@ -64,7 +67,11 @@ def test_config_validation():
         dict(epsilon_c=TWO_SQRT_TWO),
         dict(delta=0.0),
         dict(it_max=0),
+        dict(it_max=2.5),
+        dict(it_max=math.nan),
         dict(realternate=-1),
+        dict(realternate=1.5),
+        dict(realternate=math.nan),
     ):
         with pytest.raises(ValueError):
             TludConfig(**bad)
@@ -152,6 +159,46 @@ def test_proxy_matches_scalar_oracle():
 def test_proxy_empty_input():
     with pytest.raises(EmptyInput):
         proxy_initialize(np.empty((0, 3, 3)))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda Rs: select_inliers(np.eye(3), Rs),
+        chordal_l2_mean,
+        lambda Rs: weiszfeld_geodesic_l1(Rs, [], np.eye(3)),
+        geodesic_l1_mean,
+    ],
+    ids=["select_inliers", "chordal_l2_mean", "weiszfeld", "geodesic_l1_mean"],
+)
+def test_every_stage_rejects_an_empty_stack(call):
+    # select_inliers used to return [] and chordal_l2_mean to raise EmptySubset
+    for empty in (np.empty((0, 3, 3)), []):
+        with pytest.raises(EmptyInput):
+            call(empty)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        proxy_initialize,
+        lambda Rs: select_inliers(np.eye(3), Rs),
+        chordal_l2_mean,
+        lambda Rs: weiszfeld_geodesic_l1(Rs, [0], np.eye(3)),
+        lambda Rs: tlud_cost_chordal(np.eye(3), Rs, 0.5),
+        geodesic_l1_mean,
+        robust_average,
+    ],
+    ids=["proxy", "select_inliers", "chordal_l2_mean", "weiszfeld", "tlud_chordal",
+         "geodesic_l1_mean", "robust_average"],
+)
+def test_stack_shapes(call):
+    # one 3x3 matrix is a stack of one; nine values per row are not a stack
+    R = so3.exp_map([0.1, 0.2, 0.3])
+    call(R)
+    for bad in (R.reshape(1, 9), np.stack([R, R]).reshape(2, 9), R[None, None]):
+        with pytest.raises(ValueError, match="expected a stack of 3x3 rotations"):
+            call(bad)
 
 
 def _stack_with_one_bad_sample(bad_index, bad_value):
@@ -390,8 +437,9 @@ def test_weiszfeld_errors():
         weiszfeld_geodesic_l1(samples, [], np.eye(3))
     with pytest.raises(ValueError):
         weiszfeld_geodesic_l1(samples, [0], np.eye(3), delta=0.0)
-    with pytest.raises(ValueError):
-        weiszfeld_geodesic_l1(samples, [0], np.eye(3), it_max=0)
+    for it_max in (0, 2.5, math.nan):
+        with pytest.raises(ValueError, match="it_max"):
+            weiszfeld_geodesic_l1(samples, [0], np.eye(3), it_max=it_max)
 
 
 # --------------------------------------------------------------------------
@@ -496,6 +544,51 @@ def test_robust_average_realternate_refreshes_inliers():
     assert np.array_equal(refreshed, alt.inliers) or so3.geodesic_distance(
         alt.estimate, single.estimate
     ) < 1e-6
+
+
+def _assert_same_result(a, b):
+    for f in dataclasses.fields(AveragingResult):
+        x, y = np.asarray(getattr(a, f.name)), np.asarray(getattr(b, f.name))
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), f.name
+
+
+@pytest.mark.parametrize("realternate", [0, 1, 2, 3])
+@pytest.mark.parametrize("n", [_GRID_MIN_N - 1, _GRID_MIN_N + 200])
+def test_robust_average_matches_stage_composition(n, realternate):
+    # geodesic_l1_mean on the inlier rows gives the bytes of the chordal seed
+    # and the Weiszfeld refinement run over inlier indices of the whole stack
+    rng = np.random.default_rng(60 + realternate)
+    cfg = TludConfig(realternate=realternate)
+    for n_out in (int(0.9 * n), int(0.3 * n)):
+        samples, _ = contaminated_set(rng, n, n_out, 0.15)
+        _assert_same_result(robust_average(samples, cfg), robust_average_stages(samples, cfg))
+
+
+def test_robust_average_matches_stage_composition_on_list_and_single_input():
+    rng = np.random.default_rng(61)
+    samples, _ = contaminated_set(rng, 40, 20, 0.15)
+    cfg = TludConfig(realternate=2)
+    listed = samples.tolist()
+    _assert_same_result(robust_average(listed, cfg), robust_average_stages(listed, cfg))
+    _assert_same_result(robust_average(samples[3]), robust_average_stages(samples[3], TludConfig()))
+
+
+def test_robust_average_checks_each_row_once_per_reading_stage(monkeypatch):
+    # proxy_initialize and select_inliers read all N samples, chordal_l2_mean
+    # and weiszfeld_geodesic_l1 the k inliers; robust_average and
+    # geodesic_l1_mean add no check of their own, so 2N + 2k rows in all
+    rows = []
+    check = so3.check_rotations
+
+    def counted(m, *args, **kwargs):
+        rows.append(len(m))
+        return check(m, *args, **kwargs)
+
+    monkeypatch.setattr(so3, "check_rotations", counted)
+    samples, _ = contaminated_set(np.random.default_rng(62), 300, 240, 0.08)
+    k = len(robust_average(samples).inliers)
+    assert 0 < k < 300
+    assert rows == [300, 300, k, k]
 
 
 def test_geodesic_l1_mean_baseline():

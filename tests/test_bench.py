@@ -45,14 +45,18 @@ def test_scenario_validation():
         ("outlier_ratio", 1.0),
         ("outlier_ratio", -0.1),
         ("n_samples", 0),
+        ("n_samples", 50.5),
         ("sigma_deg", -1.0),
         ("sigma_deg", math.nan),
         ("sigma_deg", math.inf),
         ("n_trials", 0),
+        ("n_trials", 2.5),
+        ("n_trials", math.nan),
         ("seed", -1),
         ("seed", 2**64),
+        ("seed", 1.5),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=field):
             BenchScenario(**{**ok, field: bad})
     # a ratio that rounds every sample to outlier leaves no inliers
     with pytest.raises(ValueError):
@@ -125,8 +129,9 @@ def test_generate_trial_structure():
     assert not np.allclose(other, samples)
     with pytest.raises(ValueError):
         generate_trial(scen, 2)
-    with pytest.raises(ValueError):
-        generate_trial(scen, -1)
+    for bad in (-1, 0.5, math.nan):
+        with pytest.raises(ValueError, match="trial"):
+            generate_trial(scen, bad)
 
 
 def test_run_scenario_clean_data_is_exact():

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rotavg import so3
+from rotavg import bench, so3
 from rotavg.cli import main
 from rotavg.fileio import (
     CloudFormatError,
@@ -224,18 +224,33 @@ def test_read_ply_rejections(tmp_path):
         read_ply(path)
 
 
+_XYZ = "property float x\nproperty float y\nproperty float z"
+_FACE = "element face 1\nproperty list uchar int vertex_indices"
+
+
 @pytest.mark.parametrize(
-    "header",
+    "header, body",
     [
-        "element vertex 1\nproperty\nproperty float x\nproperty float y\nproperty float z",
-        "element vertex -3\nproperty float x\nproperty float y\nproperty float z",
-        "element vertex 0\nproperty float x\nproperty float y\nproperty float z",
+        (f"format ascii 1.0\nelement vertex 1\nproperty\n{_XYZ}", "0 0 0"),
+        (f"format ascii 1.0\nelement vertex -3\n{_XYZ}", "0 0 0"),
+        (f"format ascii 1.0\nelement vertex 0\n{_XYZ}", "0 0 0"),
+        (f"format ascii 1.0\nelement vertex\n{_XYZ}", "0 0 0"),
+        (f"format ascii 1.0\nelement vertex one\n{_XYZ}", "0 0 0"),
+        (f"format ascii 1.0\n{_XYZ}\nelement vertex 1", "0 0 0"),
+        (f"element vertex 1\n{_XYZ}", "0 0 0"),
+        (f"format ascii 1.0\nelement vertex 1\n{_XYZ}\n{_FACE}", "0 0 0"),
+        (f"format ascii 1.0\nelement vertex 1\n{_XYZ}", "0 0"),
+        (f"format ascii 1.0\nelement vertex 1\n{_XYZ}", "0 zero 0"),
+        (f"format ascii 1.0\n{_FACE}", "3 0 1 2"),
+        (f"format ascii 1.0\nelement vertex 1\n{_XYZ}", "0 nan 0"),
     ],
-    ids=["bare-property", "negative-count", "no-vertices"],
+    ids=["bare-property", "negative-count", "no-vertices", "short-element", "bad-count",
+         "property-first", "no-format", "ends-in-face", "short-vertex", "non-numeric",
+         "no-vertex-element", "non-finite"],
 )
-def test_read_ply_malformed_header(tmp_path, capsys, header):
+def test_read_ply_malformed_header(tmp_path, capsys, header, body):
     path = tmp_path / "bad.ply"
-    path.write_text(f"ply\nformat ascii 1.0\n{header}\nend_header\n0 0 0\n")
+    path.write_text(f"ply\n{header}\nend_header\n{body}\n")
     with pytest.raises(CloudFormatError):
         read_ply(path)
     assert main(["register", str(path)]) == 2
@@ -376,6 +391,21 @@ def test_cli_bench_has_no_workers_flag(capsys):
         main(["bench", "--n", "20", "--trials", "2", "--workers", "1"])
     assert exc.value.code == 2
     capsys.readouterr()
+
+
+def test_cli_bench_desk_preset_passes_the_seed(monkeypatch, capsys):
+    # the real preset runs 300 trials at N=1000; a small stand-in checks the wiring
+    calls = []
+
+    def small_preset(**seed):
+        calls.append(seed)
+        return [bench.BenchScenario(30, 0.5, 5.0, 2, seed.get("seed", 7))]
+
+    monkeypatch.setattr(bench, "desk_preset", small_preset)
+    assert main(["bench", "--preset", "desk", "--no-timing"]) == 0
+    assert main(["bench", "--preset", "desk", "--seed", "3", "--no-timing"]) == 0
+    assert calls == [{}, {"seed": 3}]
+    assert "tlud" in capsys.readouterr().out
 
 
 def test_cli_bench_bad_list_argument(capsys):

@@ -52,14 +52,33 @@ def test_scenario_validation():
             make_scenario(seed=0, outlier_fraction=0.5, noise_sigma=bad)
     with pytest.raises(ValueError, match="ratio_tolerance"):
         make_scenario(seed=0, outlier_fraction=0.5, ratio_tolerance=math.nan)
-    with pytest.raises(ValueError):
-        make_scenario(seed=0, outlier_fraction=0.5, n_hypotheses=0)
-    with pytest.raises(ValueError):
-        make_scenario(seed=-3, outlier_fraction=0.5)
+    for bad in (0, 2.5, math.nan):
+        with pytest.raises(ValueError, match="n_hypotheses"):
+            make_scenario(seed=0, outlier_fraction=0.5, n_hypotheses=bad)
+    for bad in (-3, 1.5, math.nan, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            make_scenario(seed=bad, outlier_fraction=0.5)
+        with pytest.raises(ValueError, match="seed"):
+            RegistrationScenario(scale=None, rotation=None, translation=None, seed=bad)
+    with pytest.raises(ValueError, match="seed"):
+        synthetic_pair(blob(np.random.default_rng(70), 50), 1.5, 0.5, n_points=20)
     with pytest.raises(ValueError):
         RegistrationScenario(
             scale=2.0, rotation=np.eye(3) * 2.0, translation=np.zeros(3)
         )
+    with pytest.raises(ValueError, match="translation"):
+        RegistrationScenario(scale=2.0, rotation=np.eye(3), translation=np.zeros(2))
+
+
+def test_scenario_rotation_uses_the_library_tolerance():
+    # the averaging stages accept a rotation off by 1e-8, and so does the scenario
+    R = so3.exp_map([0.3, -0.2, 0.1])
+    off = R + 1e-8 * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    assert not so3.is_rotation(off) and so3.is_rotation(off, tol=so3.ROTATION_TOL)
+    RegistrationScenario(scale=2.0, rotation=off, translation=np.zeros(3))
+    for bad in (np.eye(3) * 2.0, np.full((3, 3), np.nan), np.eye(3)[None], np.eye(4)):
+        with pytest.raises(so3.NotARotation, match="rotation is not a finite 3x3 rotation"):
+            RegistrationScenario(scale=2.0, rotation=bad, translation=np.zeros(3))
 
 
 def test_make_scenario_draws_are_deterministic_and_in_range():
@@ -110,6 +129,11 @@ def test_normalize_cloud_errors():
         normalize_cloud(blob(rng, 10), 11, rng)
     with pytest.raises(ValueError):
         normalize_cloud(np.zeros((5, 3)), 5, rng)  # zero extent
+    for bad in (0, 10.5, math.nan):
+        with pytest.raises(ValueError, match="target_count"):
+            normalize_cloud(blob(rng, 20), bad, rng)
+    with pytest.raises(ValueError, match="point array"):
+        normalize_cloud(np.zeros((5, 2)), 5, rng)
 
 
 # --------------------------------------------------------------------------
@@ -332,8 +356,11 @@ def test_harvest_input_validation():
         harvest_hypotheses(cloud, cloud[:20], scen)
     with pytest.raises(TooFewPoints):
         harvest_hypotheses(cloud[:2], cloud[:2], scen)
-    with pytest.raises(ValueError):
-        harvest_hypotheses(cloud, cloud, scen, attempt_cap=0)
+    for name in ("attempt_cap", "batch_size"):
+        for bad in (0, 2.5, math.nan):
+            # a NaN cap used to end in ZeroDivisionError from accepted / attempts
+            with pytest.raises(ValueError, match=name):
+                harvest_hypotheses(cloud, cloud, scen, **{name: bad})
 
 
 def _oracle_batches(src, dst, seed, n_batches, tol=0.1, m=4096):

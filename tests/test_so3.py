@@ -28,6 +28,8 @@ def test_hat_known_values():
     assert np.array_equal(so3.hat([0.0, 0.0, 0.0]), np.zeros((3, 3)))
     expected = np.array([[0.0, -3.0, 2.0], [3.0, 0.0, -1.0], [-2.0, 1.0, 0.0]])
     assert np.array_equal(so3.hat([1.0, 2.0, 3.0]), expected)
+    with pytest.raises(ValueError, match="trailing dimension 3"):
+        so3.hat([1.0, 2.0])
 
 
 def test_hat_is_cross_product():
@@ -333,6 +335,8 @@ def test_is_rotation_rejects_imposters():
     assert not so3.is_rotation(np.diag([1.0, 1.0, -1.0]))  # reflection
     assert not so3.is_rotation(1.01 * R)  # scaled
     assert not so3.is_rotation(R + 1e-6)  # drifted
+    assert not so3.is_rotation(np.eye(4))  # not 3x3
+    assert not so3.is_rotation(R.reshape(9))
 
 
 def test_is_rotation_matches_matmul_and_det():
@@ -364,6 +368,8 @@ def test_check_rotations_names_the_offender():
         so3.check_rotations(bad)
     with pytest.raises(so3.NotARotation):
         so3.check_rotations(np.diag([1.0, 1.0, -1.0]))  # reflection
+    with pytest.raises(ValueError, match="trailing 3x3"):
+        so3.check_rotations(R.reshape(5, 9))
     assert issubclass(so3.NotARotation, ValueError)
 
 
