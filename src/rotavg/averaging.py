@@ -3,9 +3,9 @@
 The estimator caps each sample's deviation from a candidate average at a
 threshold, so far-away samples contribute a constant and stop influencing
 the answer.  The pipeline: pick the input rotation with the lowest truncated
-chordal cost, keep the samples within the chordal threshold of it, seed from
-the projected sum of that subset, and polish with an iteratively reweighted
-geodesic median over the subset.
+chordal cost, keep the samples within the chordal threshold of it, and hand
+those rows (samples[inliers]) to a chordal seed and an iteratively
+reweighted geodesic median, stages that use every row they are given.
 
 The first step is the only one that compares all pairs of samples.  Since
 min(d, eps) = eps - max(eps - d, 0), only pairs closer than eps change a
@@ -33,7 +33,6 @@ from rotavg import so3
 
 __all__ = [
     "EmptyInput",
-    "EmptySubset",
     "TludConfig",
     "AveragingResult",
     "tlud_cost_geodesic",
@@ -81,10 +80,6 @@ class EmptyInput(ValueError):
     """An operation that needs at least one rotation received none."""
 
 
-class EmptySubset(ValueError):
-    """An operation over a subset of samples received an empty index set."""
-
-
 @dataclass(frozen=True)
 class TludConfig:
     """Thresholds and iteration limits for robust_average.
@@ -126,7 +121,8 @@ class AveragingResult:
 
     Attributes:
         estimate: the averaged rotation (3x3).
-        inliers: sorted 0-based indices of the samples used for refinement.
+        inliers: sorted 0-based indices, into the stack passed in, of the
+            samples used for refinement (all N rows for weiszfeld_geodesic_l1).
         init_index: index of the input chosen by proxy initialization, or
             None when refinement was seeded some other way.
         iterations: refinement iterations executed.
@@ -181,22 +177,6 @@ def _as_rotation(m, name: str) -> np.ndarray:
     if R.shape != (3, 3) or not so3.is_rotation(R, tol=so3.ROTATION_TOL):
         raise so3.NotARotation(f"{name} is not a finite 3x3 rotation (tol {so3.ROTATION_TOL:.0e})")
     return R
-
-
-def _as_index_set(subset, n: int) -> np.ndarray:
-    """Sorted unique int64 indices into a stack of n samples.
-
-    Only integer indices are taken: a cast would read a boolean mask as rows
-    0 and 1 and truncate 2.9 to row 2.  An empty subset of any dtype (a bare
-    [] is float64) is the empty set.
-    """
-    a = np.asarray(subset)
-    if a.size and a.dtype.kind not in "iu":
-        raise TypeError(f"subset must hold integer indices, got dtype {a.dtype}")
-    idx = np.unique(a.astype(np.int64, copy=False).reshape(-1))
-    if idx.size and (idx[0] < 0 or idx[-1] >= n):
-        raise IndexError(f"subset indices must lie in [0, {n}), got range [{idx[0]}, {idx[-1]}]")
-    return idx
 
 
 def tlud_cost_geodesic(center: np.ndarray, samples: np.ndarray, epsilon_g: float) -> float:
@@ -446,32 +426,28 @@ def select_inliers(center: np.ndarray, samples: np.ndarray, epsilon_c: float = 0
     return np.flatnonzero(d <= epsilon_c).astype(np.int64)
 
 
-def chordal_l2_mean(samples: np.ndarray, subset=None) -> np.ndarray:
-    """Rotation nearest (Frobenius) to the sum of the selected samples.
+def chordal_l2_mean(samples: np.ndarray) -> np.ndarray:
+    """Rotation nearest (Frobenius) to the sum of the samples.
 
     This is the closed-form minimizer of sum ||Ri - Q||_F^2 over rotations Q.
+    To average some rows only, pass those rows (samples[inliers]).
 
     Raises:
-        EmptySubset: when the subset selects nothing.
         so3.DegenerateMatrix: when the sum has no unique nearest rotation.
     """
-    Rs = _as_stack(samples)
-    idx = np.arange(len(Rs)) if subset is None else _as_index_set(subset, len(Rs))
-    if idx.size == 0:
-        raise EmptySubset("cannot average an empty subset")
-    return so3.project_to_so3(Rs[idx].sum(axis=0))
+    # C order sums each entry over the rows in order, whatever the caller's layout
+    return so3.project_to_so3(np.ascontiguousarray(_as_stack(samples)).sum(axis=0))
 
 
 def weiszfeld_geodesic_l1(
     samples: np.ndarray,
-    subset,
     seed: np.ndarray,
     delta: float = 0.001,
     it_max: int = 10,
 ) -> AveragingResult:
-    """Iteratively reweighted geodesic median of samples[subset], from seed.
+    """Iteratively reweighted geodesic median of every sample, from seed.
 
-    Each iteration lifts the subset into the tangent space at the current
+    Each iteration lifts the samples into the tangent space at the current
     estimate, takes the inverse-distance-weighted mean of the lifted vectors,
     and moves along it:
 
@@ -481,17 +457,14 @@ def weiszfeld_geodesic_l1(
     stopping once ||step|| < delta or after it_max iterations.  Samples
     closer than COINCIDENT_TOL to the iterate sit out that iteration's
     weights; when all of them coincide the iterate is already the median and
-    the loop records a zero step and stops.
+    the loop records a zero step and stops.  The result's inliers are
+    arange(len(samples)), indices into the rows passed in.
     """
     Rs = _as_stack(samples)
-    idx = _as_index_set(subset, len(Rs))
-    if idx.size == 0:
-        raise EmptySubset("cannot refine over an empty subset")
     _positive("delta", delta)
     _count("it_max", it_max)
-    sub = Rs[idx]
     R = _as_rotation(seed, "seed").copy()
-    vi = so3.log_map(sub @ R.T)
+    vi = so3.log_map(Rs @ R.T)
     ni = np.linalg.norm(vi, axis=-1)
     costs = [float(ni.sum())]
     update_norms: list[float] = []
@@ -511,14 +484,14 @@ def weiszfeld_geodesic_l1(
         R = so3.exp_map(step) @ R
         step_norm = float(np.linalg.norm(step))
         update_norms.append(step_norm)
-        vi = so3.log_map(sub @ R.T)
+        vi = so3.log_map(Rs @ R.T)
         ni = np.linalg.norm(vi, axis=-1)
         costs.append(float(ni.sum()))
         if step_norm < delta:
             break
     return AveragingResult(
         estimate=R,
-        inliers=idx,
+        inliers=np.arange(len(Rs)),
         init_index=None,
         iterations=iterations,
         update_norms=np.asarray(update_norms),
@@ -536,7 +509,7 @@ def geodesic_l1_mean(samples: np.ndarray, delta: float = 0.001, it_max: int = 10
     the baseline that robust_average degenerates to when every sample is kept.
     """
     Rs = _as_stack(samples, check=False)
-    return weiszfeld_geodesic_l1(Rs, np.arange(len(Rs)), chordal_l2_mean(Rs), delta=delta, it_max=it_max)
+    return weiszfeld_geodesic_l1(Rs, chordal_l2_mean(Rs), delta=delta, it_max=it_max)
 
 
 def robust_average(samples: np.ndarray, config: TludConfig | None = None) -> AveragingResult:

@@ -107,7 +107,8 @@ class RegistrationScenario:
     scale/rotation/translation may be None for runs that only harvest (the
     CLI two-file mode); corrupt_cloud requires all three.  A given rotation
     must pass the averaging stages' check (so3.ROTATION_TOL), or
-    so3.NotARotation is raised.  make_scenario draws the rotation and
+    so3.NotARotation is raised; a translation must be a finite 3-vector.
+    Both are stored as float arrays.  make_scenario draws the rotation and
     translation, and the scale unless given, from the seed.
     """
 
@@ -124,9 +125,12 @@ class RegistrationScenario:
         if self.scale is not None and not 1.0 < self.scale < 5.0:
             raise ValueError(f"scale must lie in (1, 5), got {self.scale}")
         if self.rotation is not None:
-            _as_rotation(self.rotation, "rotation")
-        if self.translation is not None and np.shape(self.translation) != (3,):
-            raise ValueError(f"translation must be a 3-vector, got shape {np.shape(self.translation)}")
+            object.__setattr__(self, "rotation", _as_rotation(self.rotation, "rotation"))
+        if self.translation is not None:
+            t = np.asarray(self.translation, dtype=float)
+            if t.shape != (3,) or not np.isfinite(t).all():
+                raise ValueError(f"translation must be a finite 3-vector, got {self.translation!r}")
+            object.__setattr__(self, "translation", t)
         if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
             raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
         if not 0.0 <= self.outlier_fraction <= 0.98:

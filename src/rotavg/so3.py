@@ -177,18 +177,21 @@ def log_map(r: np.ndarray) -> np.ndarray:
 
     Angles below SMALL_ANGLE map to the zero vector.  Within NEAR_PI_BAND of
     pi the usual (R - R.T) route loses all precision, so the axis is
-    recovered from the symmetric part instead (see _log_near_pi).  The caller
-    is responsible for handing in genuine rotations.
+    recovered from the symmetric part instead (see _log_near_pi).  A matrix
+    with a non-finite entry maps to NaN; otherwise the caller is responsible
+    for handing in genuine rotations.
     """
     r = np.asarray(r, dtype=float)
     _check_mat3(r)
     R = r.reshape((-1, 3, 3))
     theta, w, wn = _angle(R)
+    finite = np.isfinite(R).all(axis=(1, 2))  # else the angle is NaN, or 0 for an inf trace
     v = np.zeros((R.shape[0], 3))
-    main = (theta >= SMALL_ANGLE) & (theta < np.pi - NEAR_PI_BAND)
+    v[~finite] = np.nan
+    main = finite & (theta >= SMALL_ANGLE) & (theta < np.pi - NEAR_PI_BAND)
     # theta/(2 sin theta) * w, with 2 sin(theta) evaluated as ||w||
     v[main] = (theta[main] / wn[main])[:, None] * w[main]
-    near = theta >= np.pi - NEAR_PI_BAND
+    near = finite & (theta >= np.pi - NEAR_PI_BAND)
     if near.any():  # an empty call costs more than the main branch
         v[near] = _log_near_pi(R[near], w[near], wn[near])
     return v.reshape(r.shape[:-2] + (3,))

@@ -415,7 +415,7 @@ def read_xyz_lines(path) -> np.ndarray:
 
 
 def robust_average_stages(samples, config):
-    """Proxy, then select, chordal seed and Weiszfeld over inlier indices.
+    """Proxy, then select, chordal seed and Weiszfeld over the inlier rows.
 
     The same rounds as robust_average: with config.realternate > 0 the
     select/refine pair repeats around the estimate until the inlier set
@@ -435,7 +435,8 @@ def robust_average_stages(samples, config):
         inliers = select_inliers(center, Rs, config.epsilon_c)
         if result is not None and (inliers.size == 0 or np.array_equal(inliers, result.inliers)):
             break
-        seed = chordal_l2_mean(Rs, inliers)
-        result = weiszfeld_geodesic_l1(Rs, inliers, seed, config.delta, config.it_max)
+        seed = chordal_l2_mean(Rs[inliers])
+        result = weiszfeld_geodesic_l1(Rs[inliers], seed, config.delta, config.it_max)
+        result = dataclasses.replace(result, inliers=inliers)
         center = result.estimate
     return dataclasses.replace(result, init_index=init_index)

@@ -9,7 +9,6 @@ from rotavg.averaging import (
     _GRID_MIN_N,
     AveragingResult,
     EmptyInput,
-    EmptySubset,
     TludConfig,
     chordal_l2_mean,
     geodesic_l1_mean,
@@ -166,13 +165,13 @@ def test_proxy_empty_input():
     [
         lambda Rs: select_inliers(np.eye(3), Rs),
         chordal_l2_mean,
-        lambda Rs: weiszfeld_geodesic_l1(Rs, [], np.eye(3)),
+        lambda Rs: weiszfeld_geodesic_l1(Rs, np.eye(3)),
         geodesic_l1_mean,
     ],
     ids=["select_inliers", "chordal_l2_mean", "weiszfeld", "geodesic_l1_mean"],
 )
 def test_every_stage_rejects_an_empty_stack(call):
-    # select_inliers used to return [] and chordal_l2_mean to raise EmptySubset
+    # one error type for an empty stack, whichever stage reads it
     for empty in (np.empty((0, 3, 3)), []):
         with pytest.raises(EmptyInput):
             call(empty)
@@ -184,7 +183,7 @@ def test_every_stage_rejects_an_empty_stack(call):
         proxy_initialize,
         lambda Rs: select_inliers(np.eye(3), Rs),
         chordal_l2_mean,
-        lambda Rs: weiszfeld_geodesic_l1(Rs, [0], np.eye(3)),
+        lambda Rs: weiszfeld_geodesic_l1(Rs, np.eye(3)),
         lambda Rs: tlud_cost_chordal(np.eye(3), Rs, 0.5),
         geodesic_l1_mean,
         robust_average,
@@ -225,8 +224,8 @@ def test_nan_sample_is_rejected():
     for call in (proxy_initialize, robust_average, chordal_l2_mean):
         with pytest.raises(so3.NotARotation, match="matrix 3 has a non-finite entry"):
             call(samples)
-    with pytest.raises(so3.NotARotation):
-        weiszfeld_geodesic_l1(samples, [0, 1], np.eye(3))
+    with pytest.raises(so3.NotARotation, match="matrix 3 has a non-finite entry"):
+        weiszfeld_geodesic_l1(samples, np.eye(3))
 
 
 _NAN_MATRIX = np.full((3, 3), np.nan)
@@ -239,7 +238,7 @@ _NAN_MATRIX = np.full((3, 3), np.nan)
         (lambda Rs: tlud_cost_geodesic(_NAN_MATRIX, Rs, 0.3554), "center"),
         (lambda Rs: tlud_cost_chordal(3.0 * np.eye(3), Rs, 0.5), "center"),
         (lambda Rs: tlud_cost_chordal(np.eye(3)[None], Rs, 0.5), "center"),
-        (lambda Rs: weiszfeld_geodesic_l1(Rs, [0, 1], _NAN_MATRIX), "seed"),
+        (lambda Rs: weiszfeld_geodesic_l1(Rs[:2], _NAN_MATRIX), "seed"),
     ],
     ids=["select_inliers-nan", "tlud_geodesic-nan", "tlud_chordal-3I", "tlud_chordal-stack",
          "weiszfeld-nan-seed"],
@@ -260,7 +259,7 @@ def test_center_and_seed_must_be_rotations(call, name):
         lambda Rs: select_inliers(np.eye(3), Rs, -1.0),
         lambda Rs: tlud_cost_chordal(np.eye(3), Rs, math.nan),
         lambda Rs: tlud_cost_geodesic(np.eye(3), Rs, -1.0),
-        lambda Rs: weiszfeld_geodesic_l1(Rs, [0, 1], np.eye(3), delta=math.nan),
+        lambda Rs: weiszfeld_geodesic_l1(Rs[:2], np.eye(3), delta=math.nan),
         lambda Rs: TludConfig(delta=math.nan),
     ],
     ids=["proxy-nan-n50", "proxy-nan-n1200", "select_inliers-nan", "select_inliers-negative",
@@ -339,38 +338,20 @@ def test_chordal_mean_stays_near_cluster_and_matches_descent_oracle():
         assert so3.geodesic_distance(mean, oracle) < 1e-5
 
 
-def test_chordal_mean_subset_and_errors():
-    rng = np.random.default_rng(40)
-    samples = random_rotations(rng, 8)
-    sub = chordal_l2_mean(samples, subset=[2, 5])
-    assert np.allclose(sub, chordal_l2_mean(samples[[2, 5]]), atol=1e-15)
-    with pytest.raises(EmptySubset):
-        chordal_l2_mean(samples, subset=[])
-    with pytest.raises(IndexError):
-        chordal_l2_mean(samples, subset=[99])
+def test_chordal_mean_ignores_memory_layout():
+    # summed in place, a Fortran-order stack would add its rows pairwise
+    # rather than in order, and come out some bits off
+    samples = random_rotations(np.random.default_rng(40), 300)
+    expected = chordal_l2_mean(samples).tobytes()
+    for view in (np.asfortranarray(samples), samples.transpose(0, 2, 1).copy().transpose(0, 2, 1)):
+        assert chordal_l2_mean(view).tobytes() == expected
+
+
+def test_chordal_mean_degenerate_sum():
     # two antipodal half-turns sum to a rank-deficient matrix
     degenerate = np.stack([np.diag([1.0, -1.0, -1.0]), np.diag([-1.0, 1.0, -1.0])])
     with pytest.raises(so3.DegenerateMatrix):
         chordal_l2_mean(degenerate)
-
-
-def test_subset_must_hold_integer_indices():
-    # a cast would read the mask as rows 0 and 1, and 2.9 as row 2
-    rng = np.random.default_rng(44)
-    samples = random_rotations(rng, 5)
-    seed = chordal_l2_mean(samples)
-    for bad in ([False, False, True, True, True], np.ones(5, dtype=bool), [2.9], [0.0, 1.0]):
-        with pytest.raises(TypeError):
-            chordal_l2_mean(samples, subset=bad)
-        with pytest.raises(TypeError):
-            weiszfeld_geodesic_l1(samples, bad, seed)
-    for empty in ([], np.empty(0, dtype=bool)):
-        with pytest.raises(EmptySubset):
-            chordal_l2_mean(samples, subset=empty)
-        with pytest.raises(EmptySubset):
-            weiszfeld_geodesic_l1(samples, empty, seed)
-    unsigned = np.array([4, 2, 3], dtype=np.uint8)
-    assert np.array_equal(chordal_l2_mean(samples, unsigned), chordal_l2_mean(samples, [2, 3, 4]))
 
 
 # --------------------------------------------------------------------------
@@ -380,7 +361,7 @@ def test_subset_must_hold_integer_indices():
 def test_weiszfeld_identical_samples_one_iteration():
     rng = np.random.default_rng(41)
     R = random_rotations(rng, 1)[0]
-    res = weiszfeld_geodesic_l1(np.stack([R, R, R]), [0, 1, 2], R)
+    res = weiszfeld_geodesic_l1(np.stack([R, R, R]), R)
     assert np.array_equal(res.estimate, R)
     assert res.iterations == 1
     assert res.update_norms.tolist() == [0.0]
@@ -393,7 +374,7 @@ def test_weiszfeld_collinear_median():
     # median is the middle one
     samples = so3.exp_map(np.array([[0, 0, -0.2], [0, 0, 0.0], [0, 0, 0.2]]))
     seed = so3.exp_map([0, 0, 0.05])
-    res = weiszfeld_geodesic_l1(samples, [0, 1, 2], seed, delta=0.001, it_max=10)
+    res = weiszfeld_geodesic_l1(samples, seed, delta=0.001, it_max=10)
     assert so3.geodesic_distance(res.estimate, np.eye(3)) < 0.001
     assert res.iterations <= 10
     assert len(res.update_norms) == res.iterations
@@ -406,7 +387,7 @@ def test_weiszfeld_descent_and_local_optimality():
         R = random_rotations(rng, 1)[0]
         cluster = so3.exp_map(rng.normal(0.0, 0.1, size=(15, 3))) @ R
         seed = chordal_l2_mean(cluster)
-        res = weiszfeld_geodesic_l1(cluster, np.arange(15), seed, delta=1e-6, it_max=60)
+        res = weiszfeld_geodesic_l1(cluster, seed, delta=1e-6, it_max=60)
         # cost never increases (tol 1e-12) when the guard stayed quiet
         assert not res.guard_fired
         assert np.all(np.diff(res.cost_history) <= 1e-12)
@@ -425,7 +406,7 @@ def test_weiszfeld_guard_excludes_coincident_sample():
     R = random_rotations(rng, 1)[0]
     others = so3.exp_map(rng.normal(0.0, 0.1, size=(6, 3))) @ R
     samples = np.concatenate([R[None], others])
-    res = weiszfeld_geodesic_l1(samples, np.arange(7), R, delta=1e-5, it_max=50)
+    res = weiszfeld_geodesic_l1(samples, R, delta=1e-5, it_max=50)
     assert res.guard_fired  # seed coincides with samples[0] on iteration one
     assert so3.geodesic_distance(res.estimate, R) < 0.2
 
@@ -433,13 +414,13 @@ def test_weiszfeld_guard_excludes_coincident_sample():
 def test_weiszfeld_errors():
     rng = np.random.default_rng(44)
     samples = random_rotations(rng, 4)
-    with pytest.raises(EmptySubset):
-        weiszfeld_geodesic_l1(samples, [], np.eye(3))
+    with pytest.raises(EmptyInput):
+        weiszfeld_geodesic_l1(samples[:0], np.eye(3))
     with pytest.raises(ValueError):
-        weiszfeld_geodesic_l1(samples, [0], np.eye(3), delta=0.0)
+        weiszfeld_geodesic_l1(samples[:1], np.eye(3), delta=0.0)
     for it_max in (0, 2.5, math.nan):
         with pytest.raises(ValueError, match="it_max"):
-            weiszfeld_geodesic_l1(samples, [0], np.eye(3), it_max=it_max)
+            weiszfeld_geodesic_l1(samples[:1], np.eye(3), it_max=it_max)
 
 
 # --------------------------------------------------------------------------
@@ -489,8 +470,8 @@ def test_robust_average_tracks_oracle_on_true_inliers():
         samples = np.concatenate([inl, out])
         res = robust_average(samples)
         errors.append(so3.geodesic_distance(res.estimate, truth))
-        seed = chordal_l2_mean(samples, np.arange(10))
-        oracle = weiszfeld_geodesic_l1(samples, np.arange(10), seed)
+        seed = chordal_l2_mean(samples[:10])
+        oracle = weiszfeld_geodesic_l1(samples[:10], seed)
         oracle_errors.append(so3.geodesic_distance(oracle.estimate, truth))
     assert np.median(errors) <= 1.5 * np.median(oracle_errors)
 
@@ -556,7 +537,7 @@ def _assert_same_result(a, b):
 @pytest.mark.parametrize("n", [_GRID_MIN_N - 1, _GRID_MIN_N + 200])
 def test_robust_average_matches_stage_composition(n, realternate):
     # geodesic_l1_mean on the inlier rows gives the bytes of the chordal seed
-    # and the Weiszfeld refinement run over inlier indices of the whole stack
+    # and the Weiszfeld refinement written out stage by stage
     rng = np.random.default_rng(60 + realternate)
     cfg = TludConfig(realternate=realternate)
     for n_out in (int(0.9 * n), int(0.3 * n)):

@@ -66,8 +66,9 @@ def test_scenario_validation():
         RegistrationScenario(
             scale=2.0, rotation=np.eye(3) * 2.0, translation=np.zeros(3)
         )
-    with pytest.raises(ValueError, match="translation"):
-        RegistrationScenario(scale=2.0, rotation=np.eye(3), translation=np.zeros(2))
+    for bad in (np.zeros(2), [0.0, 0.0, math.nan], [math.inf, 0.0, 0.0], [0.0, -math.inf, 0.0]):
+        with pytest.raises(ValueError, match="translation must be a finite 3-vector"):
+            RegistrationScenario(scale=2.0, rotation=np.eye(3), translation=bad)
 
 
 def test_scenario_rotation_uses_the_library_tolerance():
@@ -79,6 +80,17 @@ def test_scenario_rotation_uses_the_library_tolerance():
     for bad in (np.eye(3) * 2.0, np.full((3, 3), np.nan), np.eye(3)[None], np.eye(4)):
         with pytest.raises(so3.NotARotation, match="rotation is not a finite 3x3 rotation"):
             RegistrationScenario(scale=2.0, rotation=bad, translation=np.zeros(3))
+
+
+def test_scenario_stores_checked_arrays():
+    # corrupt_cloud transposes the rotation, so a list must be stored as an array
+    src = normalize_cloud(blob(np.random.default_rng(76), 100), 50, np.random.default_rng(77))
+    R = so3.exp_map([0.3, -0.2, 0.1])
+    t = np.array([0.1, -0.4, 0.2])
+    as_arrays = RegistrationScenario(scale=2.0, rotation=R, translation=t, outlier_fraction=0.2)
+    as_lists = RegistrationScenario(scale=2.0, rotation=R.tolist(), translation=t.tolist(),
+                                    outlier_fraction=0.2)
+    assert corrupt_cloud(src, as_lists).tobytes() == corrupt_cloud(src, as_arrays).tobytes()
 
 
 def test_make_scenario_draws_are_deterministic_and_in_range():

@@ -99,6 +99,24 @@ def test_log_identity_is_zero():
     assert np.array_equal(so3.log_map(np.eye(3)), np.zeros(3))
 
 
+def test_log_of_non_finite_matrix_is_nan():
+    # a NaN entry gives a NaN angle and an inf on the diagonal angle 0; the
+    # log must not read either as the identity's [0, 0, 0]
+    rng = np.random.default_rng(15)
+    good = so3.exp_map(rng.normal(size=(6, 3)))
+    good[4] = so3.exp_map([0.0, math.pi, 0.0])  # a near-pi row keeps its branch
+    R = good.copy()
+    R[1, 1, 2] = math.nan
+    R[3, 0, 0] = math.inf
+    R[5, 2, 1] = -math.inf
+    v = so3.log_map(R)
+    bad = [1, 3, 5]
+    assert np.isnan(v[bad]).all()
+    ok = [0, 2, 4]
+    assert v[ok].tobytes() == so3.log_map(good[ok]).tobytes()
+    assert np.isnan(so3.log_map(R[1])).all()
+
+
 def test_log_exp_roundtrip_bulk():
     # norms kept inside (1e-6, pi - 1e-3): the regime where log is smooth
     rng = np.random.default_rng(11)

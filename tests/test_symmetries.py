@@ -1,0 +1,57 @@
+"""Symmetries of robust_average on benchmark stacks.
+
+The truncated cost depends on the samples only through their pairwise
+distances, which a common left rotation and a reordering both preserve.  So
+rotating every sample by Q rotates the estimate by Q, and shuffling the
+samples shuffles the inliers and leaves the estimate alone.  The second
+holds only when the proxy winner is unique: with two candidates at the same
+cost the lowest index wins, and a shuffle can change which one that is.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from rotavg import so3
+from rotavg.averaging import TludConfig, robust_average, tlud_cost_chordal
+from rotavg.bench import BenchScenario, generate_trial, random_outlier
+
+SYMMETRY = settings(max_examples=25, deadline=None)
+
+
+@st.composite
+def trials(draw):
+    """generate_trial stacks of up to 400 samples at 0-90% outliers."""
+    n = draw(st.integers(1, 400))
+    n_out = draw(st.integers(0, int(0.9 * n)))
+    sigma = draw(st.sampled_from([1.0, 5.0, 10.0]))
+    scen = BenchScenario(n, n_out / n, sigma, n_trials=1, seed=draw(st.integers(0, 2**32 - 1)))
+    return generate_trial(scen, 0)[0]
+
+
+def _rng(draw):
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@SYMMETRY
+@given(samples=trials(), data=st.data())
+def test_left_rotation_rotates_the_estimate(samples, data):
+    Q = random_outlier(_rng(data.draw))
+    res = robust_average(samples)
+    turned = robust_average(Q @ samples)
+    assert so3.geodesic_distance(turned.estimate, Q @ res.estimate) <= 1e-12
+    assert np.array_equal(turned.inliers, res.inliers)
+
+
+@SYMMETRY
+@given(samples=trials(), data=st.data())
+def test_shuffle_leaves_the_estimate(samples, data):
+    eps = TludConfig().epsilon_c
+    costs = np.sort([tlud_cost_chordal(R, samples, eps) for R in samples])
+    assume(len(costs) == 1 or costs[1] - costs[0] >= 1e-6)
+    perm = _rng(data.draw).permutation(len(samples))
+    res = robust_average(samples)
+    shuffled = robust_average(samples[perm])
+    # shuffled row i is original row perm[i]
+    assert np.array_equal(np.sort(perm[shuffled.inliers]), res.inliers)
+    assert so3.geodesic_distance(shuffled.estimate, res.estimate) <= 1e-9
