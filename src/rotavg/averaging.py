@@ -151,6 +151,12 @@ def _positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be positive, got {value}")
 
 
+def _nonnegative(name: str, value: float) -> None:
+    """Raise ValueError unless value is finite and >= 0; NaN fails too."""
+    if not (value >= 0.0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
+
+
 def _count(name: str, value, least: int = 1) -> None:
     """Raise ValueError unless value is an integer >= least; NaN and 2.5 fail too."""
     if not (isinstance(value, numbers.Integral) and value >= least):

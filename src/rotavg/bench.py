@@ -12,12 +12,15 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from rotavg import so3
-from rotavg.averaging import AveragingResult, TludConfig, _count, geodesic_l1_mean, robust_average
+from rotavg.averaging import (
+    AveragingResult, TludConfig, _as_rotation, _count, _nonnegative, geodesic_l1_mean,
+    robust_average,
+)
 
 __all__ = [
     "FAILURE_THRESHOLD_DEG",
@@ -33,6 +36,7 @@ __all__ = [
     "grid",
     "default_estimators",
     "desk_preset",
+    "without_timing",
     "write_trials_csv",
     "write_summary_json",
     "format_summary_table",
@@ -53,7 +57,17 @@ TRIAL_CSV_COLUMNS = (
     "runtime_ms",
 )
 
-_MAX_SEED = 2**64
+
+def _seed(seed: int) -> int:
+    """seed, or ValueError unless it is an integer in [0, 2**64)."""
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be a 64-bit non-negative integer, got {seed}")
+    return seed
+
+
+def _stream(seed: int, *tags: int) -> np.random.Generator:
+    """The generator behind every seeded draw in the package."""
+    return np.random.default_rng(np.random.SeedSequence([_seed(seed), *tags]))
 
 
 @dataclass(frozen=True)
@@ -74,11 +88,9 @@ class BenchScenario:
         _count("n_samples", self.n_samples)
         if not 0.0 <= self.outlier_ratio < 1.0:
             raise ValueError(f"outlier_ratio must lie in [0, 1), got {self.outlier_ratio}")
-        if not (self.sigma_deg >= 0.0 and math.isfinite(self.sigma_deg)):
-            raise ValueError(f"sigma_deg must be finite and non-negative, got {self.sigma_deg}")
+        _nonnegative("sigma_deg", self.sigma_deg)
         _count("n_trials", self.n_trials)
-        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < _MAX_SEED):
-            raise ValueError(f"seed must be a 64-bit non-negative integer, got {self.seed}")
+        _seed(self.seed)
         if self.n_inliers < 1:
             raise ValueError(
                 f"ratio {self.outlier_ratio} at n_samples {self.n_samples} leaves no inliers"
@@ -119,12 +131,14 @@ def random_inlier(
 
     The perturbation vector has independent N(0, (sigma_deg * pi/180)^2)
     components and is applied as exp(e) @ truth.  sigma_deg == 0 returns the
-    truth exactly.
+    truth exactly.  A truth that is not a rotation raises so3.NotARotation,
+    a negative or non-finite sigma_deg ValueError.
     """
-    scale = math.radians(sigma_deg)
+    truth = _as_rotation(truth, "truth")
+    _nonnegative("sigma_deg", sigma_deg)
     m = 1 if n is None else n
-    e = rng.normal(0.0, scale, size=(m, 3))
-    out = so3.exp_map(e) @ np.asarray(truth, dtype=float)
+    e = rng.normal(0.0, math.radians(sigma_deg), size=(m, 3))
+    out = so3.exp_map(e) @ truth
     return out[0] if n is None else out
 
 
@@ -156,7 +170,7 @@ def generate_trial(scenario: BenchScenario, trial: int) -> tuple[np.ndarray, np.
     """Deterministic inputs for one trial: (shuffled samples, planted truth)."""
     if not (isinstance(trial, numbers.Integral) and 0 <= trial < scenario.n_trials):
         raise ValueError(f"trial must be an integer in [0, {scenario.n_trials}), got {trial}")
-    rng = np.random.default_rng(np.random.SeedSequence([scenario.seed, trial]))
+    rng = _stream(scenario.seed, trial)
     truth = random_outlier(rng)
     inliers = random_inlier(truth, scenario.sigma_deg, rng, n=scenario.n_inliers)
     outliers = random_outlier(rng, n=scenario.n_outliers)
@@ -248,16 +262,23 @@ def desk_preset(seed: int = 7) -> list[BenchScenario]:
     ]
 
 
+def without_timing(rows: list[SweepRow]) -> list[SweepRow]:
+    """Copies of rows with all runtimes 0.0 (the rows keep theirs): runtimes are
+    all that a seed leaves unfixed, so the writers then give the same bytes."""
+    out = []
+    for row in rows:
+        zero = np.zeros_like(row.report.per_trial_runtime_ms)
+        report = replace(row.report, per_trial_runtime_ms=zero, median_runtime_ms=0.0)
+        out.append(replace(row, report=report))
+    return out
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def write_trials_csv(path, rows: list[SweepRow], timing: bool = True) -> None:
-    """One line per trial in TRIAL_CSV_COLUMNS order.
-
-    timing=False writes 0.0 in the runtime column so two runs of the same
-    seed compare byte for byte.
-    """
+def write_trials_csv(path, rows: list[SweepRow]) -> None:
+    """One line per trial in TRIAL_CSV_COLUMNS order."""
     with open(path, "w", newline="") as f:
         f.write(",".join(TRIAL_CSV_COLUMNS) + "\n")
         for row in rows:
@@ -265,14 +286,13 @@ def write_trials_csv(path, rows: list[SweepRow], timing: bool = True) -> None:
             errs = row.report.per_trial_error_deg
             runs = row.report.per_trial_runtime_ms
             for t in range(s.n_trials):
-                ms = runs[t] if timing else 0.0
                 f.write(
                     f"{row.method},{s.n_samples},{_fmt(s.outlier_ratio)},{_fmt(s.sigma_deg)},"
-                    f"{t},{_fmt(errs[t])},{_fmt(ms)}\n"
+                    f"{t},{_fmt(errs[t])},{_fmt(runs[t])}\n"
                 )
 
 
-def _summary_dict(row: SweepRow, timing: bool) -> dict:
+def _summary_dict(row: SweepRow) -> dict:
     s = row.scenario
     r = row.report
     return {
@@ -286,19 +306,19 @@ def _summary_dict(row: SweepRow, timing: bool) -> dict:
         "median_error_deg": r.median_error_deg,
         "failure_count": r.failure_count,
         "failure_threshold_deg": FAILURE_THRESHOLD_DEG,
-        "median_runtime_ms": r.median_runtime_ms if timing else 0.0,
+        "median_runtime_ms": r.median_runtime_ms,
     }
 
 
-def write_summary_json(path, rows: list[SweepRow], timing: bool = True) -> None:
+def write_summary_json(path, rows: list[SweepRow]) -> None:
     """Per-scenario summary statistics as a JSON document."""
-    doc = {"scenarios": [_summary_dict(row, timing) for row in rows]}
+    doc = {"scenarios": [_summary_dict(row) for row in rows]}
     with open(path, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
 
 
-def format_summary_table(rows: list[SweepRow], timing: bool = True) -> str:
+def format_summary_table(rows: list[SweepRow]) -> str:
     """Fixed-width human summary, one line per (scenario, method)."""
     header = (
         f"{'method':<12} {'N':>6} {'ratio':>6} {'sigma':>6} {'trials':>6} "
@@ -308,10 +328,9 @@ def format_summary_table(rows: list[SweepRow], timing: bool = True) -> str:
     for row in rows:
         s = row.scenario
         r = row.report
-        ms = r.median_runtime_ms if timing else 0.0
         lines.append(
             f"{row.method:<12} {s.n_samples:>6} {s.outlier_ratio:>6.2f} {s.sigma_deg:>6.2f} "
             f"{s.n_trials:>6} {r.mean_error_deg:>10.4f} {r.median_error_deg:>10.4f} "
-            f"{r.failure_count:>5} {ms:>9.3f}"
+            f"{r.failure_count:>5} {r.median_runtime_ms:>9.3f}"
         )
     return "\n".join(lines)

@@ -100,12 +100,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
             raise ValueError(f"unknown method {name!r}; available: {', '.join(sorted(estimators))}")
         methods[name] = estimators[name]
     rows = bench.sweep(scenarios, methods)
-    timing = not args.no_timing
-    print(bench.format_summary_table(rows, timing=timing))
+    if args.no_timing:
+        rows = bench.without_timing(rows)
+    print(bench.format_summary_table(rows))
     if args.out_csv:
-        bench.write_trials_csv(args.out_csv, rows, timing=timing)
+        bench.write_trials_csv(args.out_csv, rows)
     if args.out_json:
-        bench.write_summary_json(args.out_json, rows, timing=timing)
+        bench.write_summary_json(args.out_json, rows)
     return 0
 
 

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from rotavg import so3
-from rotavg.averaging import AveragingResult, TludConfig, _as_rotation, _count, robust_average
-from rotavg.bench import random_outlier
+from rotavg.averaging import (
+    AveragingResult, TludConfig, _as_rotation, _count, _nonnegative, robust_average,
+)
+from rotavg.bench import _seed, _stream, random_outlier
 
 __all__ = [
     "TooFewPoints",
@@ -50,6 +51,10 @@ _TAG_HARVEST = 1
 _TAG_SCENARIO = 2
 _TAG_NORMALIZE = 3
 
+# Harvest attempts per RNG stream.  Batch b draws from _stream(seed,
+# _TAG_HARVEST, b), so this fixes a seed's hypotheses: it is output contract.
+_HARVEST_BATCH = 4096
+
 _log = logging.getLogger(__name__)
 
 
@@ -76,17 +81,6 @@ class AttemptCapExceeded(RuntimeError):
         super().__init__(message)
         self.attempts = attempts
         self.accepted = accepted
-
-
-def _seed(seed: int) -> int:
-    """seed, or ValueError unless it is an integer in [0, 2**64)."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
-        raise ValueError(f"seed must be a 64-bit non-negative integer, got {seed}")
-    return seed
-
-
-def _stream(seed: int, *tags: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([_seed(seed), *tags]))
 
 
 def _as_cloud(points, min_points: int = 1) -> np.ndarray:
@@ -131,8 +125,7 @@ class RegistrationScenario:
             if t.shape != (3,) or not np.isfinite(t).all():
                 raise ValueError(f"translation must be a finite 3-vector, got {self.translation!r}")
             object.__setattr__(self, "translation", t)
-        if not (self.noise_sigma >= 0.0 and math.isfinite(self.noise_sigma)):
-            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
+        _nonnegative("noise_sigma", self.noise_sigma)
         if not 0.0 <= self.outlier_fraction <= 0.98:
             raise ValueError(f"outlier_fraction must lie in [0, 0.98], got {self.outlier_fraction}")
         _count("n_hypotheses", self.n_hypotheses)
@@ -341,23 +334,18 @@ def _harvest_batch(
 
 
 def harvest_hypotheses(
-    src,
-    dst,
-    scen: RegistrationScenario,
-    attempt_cap: int = 1_000_000,
-    batch_size: int = 4096,
+    src, dst, scen: RegistrationScenario, attempt_cap: int = 1_000_000
 ) -> np.ndarray:
     """Collect scen.n_hypotheses rotations from ratio-filtered 3-point samples.
 
     Repeats {sample 3 distinct indices uniformly, ratio-check the two
     triangles, align and keep the rotation if it passes} until the quota is
-    met.  Attempts run in fixed-size batches, one after another, each with
-    its own RNG stream derived from (scenario seed, batch index); accepted
-    hypotheses concatenate in batch order, so repeated runs give identical
-    output.  batch_size sets where one stream ends and the next begins, so
-    changing it changes which hypotheses are drawn.  One DEBUG record on the
-    "rotavg.registration" logger reports batches, attempts, accepted count
-    and acceptance rate.
+    met.  Attempts run in batches of _HARVEST_BATCH = 4096, the last one cut
+    short by attempt_cap, one after another.  Each batch has its own RNG
+    stream derived from (scenario seed, batch index), and accepted
+    hypotheses concatenate in batch order, so a seed always yields the same
+    hypotheses.  One DEBUG record on the "rotavg.registration" logger
+    reports batches, attempts, accepted count and acceptance rate.
 
     Raises:
         AttemptCapExceeded: when attempt_cap attempts cannot fill the quota.
@@ -367,20 +355,18 @@ def harvest_hypotheses(
     if len(s) != len(d):
         raise ValueError(f"clouds must correspond point-for-point, got {len(s)} vs {len(d)}")
     _count("attempt_cap", attempt_cap)
-    _count("batch_size", batch_size)
     need = scen.n_hypotheses
     cols = np.ascontiguousarray(np.concatenate([s, d], axis=1).T)
     chunks: list[np.ndarray] = []
-    accepted = attempts = batches = 0
+    accepted = attempts = 0
     while accepted < need and attempts < attempt_cap:
-        m = min(batch_size, attempt_cap - attempts)
-        rng = _stream(scen.seed, _TAG_HARVEST, batches)
+        m = min(_HARVEST_BATCH, attempt_cap - attempts)
+        rng = _stream(scen.seed, _TAG_HARVEST, len(chunks))  # one chunk per batch
         chunks.append(_harvest_batch(s, d, cols, scen.ratio_tolerance, rng, m))
         accepted += len(chunks[-1])
         attempts += m
-        batches += 1
     rate = accepted / attempts
-    stats = dict(batches=batches, attempts=attempts, accepted=accepted, acceptance_rate=rate)
+    stats = dict(batches=len(chunks), attempts=attempts, accepted=accepted, acceptance_rate=rate)
     _log.debug("harvest %s", stats, extra=stats)
     if accepted < need:
         raise AttemptCapExceeded(
@@ -399,10 +385,10 @@ def register_rotation(
 ) -> AveragingResult:
     """Estimate the rotation between corresponding clouds.
 
-    Runs harvest_hypotheses with its default attempt cap and batch size,
-    then robust_average under config (TludConfig() when None).  The
-    returned inlier indices refer to the hypothesis list, not to cloud
-    points.  The estimate maps src directions onto dst directions.
+    Runs harvest_hypotheses with its default attempt cap, then
+    robust_average under config (TludConfig() when None).  The returned
+    inlier indices refer to the hypothesis list, not to cloud points.  The
+    estimate maps src directions onto dst directions.
 
     Raises:
         AttemptCapExceeded: when harvesting cannot fill scen.n_hypotheses.

@@ -43,6 +43,9 @@ NEAR_PI_BAND = 1e-6
 # as in is_rotation) an input matrix may be and still be accepted as one.
 ROTATION_TOL = 1e-6
 
+# Frobenius norm of the symmetric part above which vee() rejects a matrix.
+_SKEW_TOL = 1e-6
+
 # Singular-value tolerance below which the nearest-rotation problem stops
 # having a unique answer.
 _NONUNIQUE_TOL = 1e-12
@@ -92,21 +95,21 @@ def hat(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def vee(s: np.ndarray, tol: float = 1e-6) -> np.ndarray:
+def vee(s: np.ndarray) -> np.ndarray:
     """Inverse of hat(): extract the 3-vector from a skew-symmetric matrix.
 
     The symmetric part is discarded after the check, so inputs that are skew
     up to roundoff come back clean.
 
     Raises:
-        NotSkewSymmetric: if ||s + s.T||_F exceeds ``tol`` for any input.
+        NotSkewSymmetric: if ||s + s.T||_F exceeds 1e-6 for any input.
     """
     s = np.asarray(s, dtype=float)
     _check_mat3(s)
     residual = np.linalg.norm(s + np.swapaxes(s, -1, -2), axis=(-2, -1))
     worst = float(np.max(residual)) if residual.size else 0.0
-    if worst > tol:
-        raise NotSkewSymmetric(f"symmetric part has norm {worst:.3e} (tol {tol:.1e})")
+    if worst > _SKEW_TOL:
+        raise NotSkewSymmetric(f"symmetric part has norm {worst:.3e} (tol {_SKEW_TOL:.1e})")
     a = 0.5 * (s - np.swapaxes(s, -1, -2))
     return np.stack([a[..., 2, 1], a[..., 0, 2], a[..., 1, 0]], axis=-1)
 
@@ -141,12 +144,15 @@ def _angle(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     On a rotation w = 2 sin(theta) * axis and the trace is 1 + 2 cos(theta),
     so atan2(||w||/2, (tr - 1)/2) recovers theta with full precision over the
     whole of [0, pi]; arccos of the trace alone bottoms out near sqrt(eps).
+    theta is NaN where the trace or ||w|| is not finite, which every non-finite
+    entry causes (atan2 alone would read an inf trace as angle 0).
     """
     tr = np.einsum("...ii->...", m)
     w = np.stack([m[..., 2, 1] - m[..., 1, 2], m[..., 0, 2] - m[..., 2, 0],
                   m[..., 1, 0] - m[..., 0, 1]], axis=-1)
     wn = np.linalg.norm(w, axis=-1)
-    return np.arctan2(0.5 * wn, 0.5 * (tr - 1.0)), w, wn
+    theta = np.arctan2(0.5 * wn, 0.5 * (tr - 1.0))
+    return np.where(np.isfinite(tr) & np.isfinite(wn), theta, np.nan), w, wn
 
 
 def _log_near_pi(R: np.ndarray, w: np.ndarray, wn: np.ndarray) -> np.ndarray:
@@ -185,13 +191,12 @@ def log_map(r: np.ndarray) -> np.ndarray:
     _check_mat3(r)
     R = r.reshape((-1, 3, 3))
     theta, w, wn = _angle(R)
-    finite = np.isfinite(R).all(axis=(1, 2))  # else the angle is NaN, or 0 for an inf trace
     v = np.zeros((R.shape[0], 3))
-    v[~finite] = np.nan
-    main = finite & (theta >= SMALL_ANGLE) & (theta < np.pi - NEAR_PI_BAND)
+    v[np.isnan(theta)] = np.nan  # a NaN theta fails both comparisons below
+    main = (theta >= SMALL_ANGLE) & (theta < np.pi - NEAR_PI_BAND)
     # theta/(2 sin theta) * w, with 2 sin(theta) evaluated as ||w||
     v[main] = (theta[main] / wn[main])[:, None] * w[main]
-    near = finite & (theta >= np.pi - NEAR_PI_BAND)
+    near = theta >= np.pi - NEAR_PI_BAND
     if near.any():  # an empty call costs more than the main branch
         v[near] = _log_near_pi(R[near], w[near], wn[near])
     return v.reshape(r.shape[:-2] + (3,))
@@ -215,7 +220,8 @@ def geodesic_distance(r1: np.ndarray, r2: np.ndarray) -> float | np.ndarray:
 
 def chordal_distance(r1: np.ndarray, r2: np.ndarray) -> float | np.ndarray:
     """Frobenius distance ||r1 - r2||_F; equals 2*sqrt(2)*sin(geodesic/2)."""
-    diff = np.asarray(r1, dtype=float) - np.asarray(r2, dtype=float)
+    # C order sums the nine squares in one order whatever the caller's layout
+    diff = np.ascontiguousarray(np.asarray(r1, dtype=float) - np.asarray(r2, dtype=float))
     _check_mat3(diff)
     d = np.sqrt(np.einsum("...ij,...ij->...", diff, diff))
     return float(d) if np.ndim(d) == 0 else d
@@ -282,22 +288,22 @@ def is_rotation(m: np.ndarray, tol: float = 1e-9) -> bool | np.ndarray:
     return bool(ok) if np.ndim(ok) == 0 else ok
 
 
-def check_rotations(m: np.ndarray, tol: float = ROTATION_TOL) -> None:
-    """Raise unless every matrix in m is finite and passes is_rotation(tol).
+def check_rotations(m: np.ndarray) -> None:
+    """Raise unless every matrix in m is finite and passes is_rotation(ROTATION_TOL).
 
     Raises:
         NotARotation: naming the first offending matrix and what is wrong.
     """
     m = np.asarray(m, dtype=float)
     _check_mat3(m)
-    ok = np.reshape(is_rotation(m, tol=tol), -1)
+    ok = np.reshape(is_rotation(m, tol=ROTATION_TOL), -1)
     if ok.all():
         return
     k = int(np.argmin(ok))
     if not np.isfinite(m.reshape(-1, 3, 3)[k]).all():
         raise NotARotation(f"matrix {k} has a non-finite entry")
     raise NotARotation(
-        f"matrix {k} is not a rotation (orthogonality or determinant off by more than {tol:.0e})"
+        f"matrix {k} is not a rotation (orthogonality or determinant off by over {ROTATION_TOL:.0e})"
     )
 
 

@@ -315,6 +315,30 @@ def test_select_inliers_threshold_is_inclusive():
     assert np.array_equal(select_inliers(np.eye(3), inside[None], eps_c), [0])
 
 
+def test_chordal_distance_and_its_users_ignore_memory_layout():
+    # summed in memory order, a Fortran-order stack adds its nine squares in
+    # another order and comes out some bits off, which can move a sample
+    # across epsilon_c
+    rng = np.random.default_rng(41)
+    samples = random_rotations(rng, 300)
+    center = random_rotations(rng, 1)[0]
+    eps_c = 1.5
+    want = (
+        so3.chordal_distance(samples, center).tobytes(),
+        select_inliers(center, samples, eps_c).tobytes(),
+        tlud_cost_chordal(center, samples, eps_c),
+    )
+    layouts = (np.asfortranarray, lambda a: np.swapaxes(np.swapaxes(a, -1, -2).copy(), -1, -2))
+    for view in layouts:
+        for Rs, C in ((view(samples), center), (samples, view(center)), (view(samples), view(center))):
+            got = (
+                so3.chordal_distance(Rs, C).tobytes(),
+                select_inliers(C, Rs, eps_c).tobytes(),
+                tlud_cost_chordal(C, Rs, eps_c),
+            )
+            assert got == want
+
+
 # --------------------------------------------------------------------------
 # chordal mean
 

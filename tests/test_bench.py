@@ -20,6 +20,7 @@ from rotavg.bench import (
     random_outlier,
     run_scenario,
     sweep,
+    without_timing,
     write_summary_json,
     write_trials_csv,
 )
@@ -71,6 +72,17 @@ def test_random_inlier_zero_sigma_is_truth():
     rng = np.random.default_rng(60)
     truth = random_outlier(rng)
     assert np.allclose(random_inlier(truth, 0.0, rng), truth, atol=1e-15)
+
+
+def test_random_inlier_rejects_bad_truth_and_sigma():
+    rng = np.random.default_rng(63)
+    truth = random_outlier(rng)
+    # both used to come back as matrices: all zeros, and all NaN
+    with pytest.raises(so3.NotARotation, match="truth"):
+        random_inlier(np.zeros((3, 3)), 1.0, rng)
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(ValueError, match="sigma_deg"):
+            random_inlier(truth, bad, rng, n=4)
 
 
 def test_random_inlier_noise_statistics():
@@ -273,9 +285,12 @@ def test_csv_writer_no_timing_zeroes_runtime(tmp_path):
     scen = BenchScenario(n_samples=20, outlier_ratio=0.5, sigma_deg=5.0, n_trials=2, seed=14)
     rows = sweep([scen], {"tlud": default_estimators()["tlud"]})
     path = tmp_path / "trials.csv"
-    write_trials_csv(path, rows, timing=False)
+    write_trials_csv(path, without_timing(rows))
     for line in path.read_text().splitlines()[1:]:
         assert line.rsplit(",", 1)[1] == "0.0"
+    # the copies are zeroed, not the rows the sweep returned
+    assert (rows[0].report.per_trial_runtime_ms > 0.0).all()
+    assert rows[0].report.median_runtime_ms > 0.0
 
 
 def test_json_summary_recomputes(tmp_path):

@@ -329,8 +329,6 @@ def test_harvest_deterministic_and_worker_invariant():
     a = harvest_hypotheses(src, dst, scen)
     b = harvest_hypotheses(src, dst, scen)
     assert np.array_equal(a, b)
-    d = harvest_hypotheses(src, dst, scen, batch_size=777)
-    assert d.shape == a.shape  # different batching, same count contract
 
 
 def test_harvest_attempt_cap():
@@ -368,11 +366,10 @@ def test_harvest_input_validation():
         harvest_hypotheses(cloud, cloud[:20], scen)
     with pytest.raises(TooFewPoints):
         harvest_hypotheses(cloud[:2], cloud[:2], scen)
-    for name in ("attempt_cap", "batch_size"):
-        for bad in (0, 2.5, math.nan):
-            # a NaN cap used to end in ZeroDivisionError from accepted / attempts
-            with pytest.raises(ValueError, match=name):
-                harvest_hypotheses(cloud, cloud, scen, **{name: bad})
+    for bad in (0, 2.5, math.nan):
+        # a NaN cap used to end in ZeroDivisionError from accepted / attempts
+        with pytest.raises(ValueError, match="attempt_cap"):
+            harvest_hypotheses(cloud, cloud, scen, attempt_cap=bad)
 
 
 def _oracle_batches(src, dst, seed, n_batches, tol=0.1, m=4096):
@@ -437,21 +434,22 @@ def test_harvest_reports_counts(caplog):
     scen = make_scenario(seed=20, outlier_fraction=0.8, n_hypotheses=300)
     dst = corrupt_cloud(src, scen)
     with caplog.at_level(logging.DEBUG, logger="rotavg.registration"):
-        hyps = harvest_hypotheses(src, dst, scen, batch_size=1000)
+        hyps = harvest_hypotheses(src, dst, scen)
     (rec,) = [r for r in caplog.records if r.name == "rotavg.registration"]
     assert rec.levelno == logging.DEBUG
-    assert rec.attempts == 1000 * rec.batches
+    assert rec.attempts == registration._HARVEST_BATCH * rec.batches
     assert rec.accepted >= len(hyps) == 300
     assert rec.acceptance_rate == rec.accepted / rec.attempts
     assert "batches" in rec.getMessage()
 
     strict = make_scenario(seed=20, outlier_fraction=0.8, n_hypotheses=300, ratio_tolerance=0.0)
+    cap = 5 * registration._HARVEST_BATCH // 2  # the third batch is cut short
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="rotavg.registration"):
         with pytest.raises(AttemptCapExceeded) as info:
-            harvest_hypotheses(src, dst, strict, attempt_cap=2500, batch_size=1000)
+            harvest_hypotheses(src, dst, strict, attempt_cap=cap)
     (rec,) = [r for r in caplog.records if r.name == "rotavg.registration"]
-    assert info.value.attempts == rec.attempts == 2500
+    assert info.value.attempts == rec.attempts == cap
     assert info.value.accepted == rec.accepted < 300
     assert rec.batches == 3
 

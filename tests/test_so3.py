@@ -103,14 +103,16 @@ def test_log_of_non_finite_matrix_is_nan():
     # a NaN entry gives a NaN angle and an inf on the diagonal angle 0; the
     # log must not read either as the identity's [0, 0, 0]
     rng = np.random.default_rng(15)
-    good = so3.exp_map(rng.normal(size=(6, 3)))
+    good = so3.exp_map(rng.normal(size=(8, 3)))
     good[4] = so3.exp_map([0.0, math.pi, 0.0])  # a near-pi row keeps its branch
     R = good.copy()
     R[1, 1, 2] = math.nan
     R[3, 0, 0] = math.inf
     R[5, 2, 1] = -math.inf
+    R[6, 1, 1] = -math.inf  # angle pi: must not take the near-pi branch either
+    R[7, 0, 2] = math.inf
     v = so3.log_map(R)
-    bad = [1, 3, 5]
+    bad = [1, 3, 5, 6, 7]
     assert np.isnan(v[bad]).all()
     ok = [0, 2, 4]
     assert v[ok].tobytes() == so3.log_map(good[ok]).tobytes()
