@@ -116,7 +116,7 @@ def _cmd_register(args: argparse.Namespace) -> int:
         # Two-file mode: clouds already correspond point-for-point.
         dst = fileio.load_cloud(args.dst)
         scen = registration.RegistrationScenario(
-            scale=None, rotation=None, translation=None, noise_sigma=args.noise_sigma,
+            scale=None, rotation=None, translation=None,
             n_hypotheses=args.hypotheses, ratio_tolerance=args.ratio_tol, seed=args.seed,
         )
     else:

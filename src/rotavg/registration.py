@@ -5,7 +5,8 @@ cloud is aligned back to the original by harvesting thousands of rotation
 hypotheses from random 3-point samples (pre-filtered by a scale-free
 triangle side-ratio test) and then robust-averaging the hypothesis set.
 Correspondences are positional: point i in one cloud pairs with point i in
-the other.
+the other.  Triples are filtered (_ratio_test) and aligned (_align_batch) a
+batch at a time; harvest_hypotheses is the public way in.
 """
 
 from __future__ import annotations
@@ -24,16 +25,12 @@ from rotavg.bench import _seed, _stream, random_outlier
 
 __all__ = [
     "TooFewPoints",
-    "DegenerateTriangle",
-    "CollinearPoints",
     "AttemptCapExceeded",
     "RegistrationScenario",
     "make_scenario",
     "normalize_cloud",
     "corrupt_cloud",
     "synthetic_pair",
-    "triangle_ratio_check",
-    "align_three_points",
     "harvest_hypotheses",
     "register_rotation",
 ]
@@ -62,17 +59,10 @@ class TooFewPoints(ValueError):
     """Cloud has fewer points than the operation needs."""
 
 
-class DegenerateTriangle(ValueError):
-    """A triangle side is too short for the ratio test."""
-
-
-class CollinearPoints(ValueError):
-    """Three points do not span a plane, so no unique rotation fits them."""
-
-
 class AttemptCapExceeded(RuntimeError):
-    """Hypothesis harvesting ran out of attempts before filling its quota
-    (usually the ratio tolerance is too strict for the data).
+    """Hypothesis harvesting ran out of attempts before filling its quota:
+    the ratio tolerance is too strict for the data, or the points coincide
+    or are collinear, so no triple can be aligned.
 
     .attempts and .accepted count the triples drawn and the hypotheses kept.
     """
@@ -235,8 +225,10 @@ def synthetic_pair(
 def _ratio_test(cols: np.ndarray, idx: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """(passed, degenerate) masks of the ratio test on triangles idx (m, 3).
 
-    cols is (6, n): source x, y, z rows, then target x, y, z rows.  Sides
-    [|p1-p0|, |p2-p1|, |p0-p2|] are sqrt(dx*dx + dy*dy + dz*dz) on 1-D
+    A row passes when its three per-side length ratios target/source agree:
+    max(ratios) / min(ratios) - 1 <= tol, which no scale of either triangle
+    changes.  cols is (6, n): source x, y, z rows, then target x, y, z rows.
+    Sides [|p1-p0|, |p2-p1|, |p0-p2|] are sqrt(dx*dx + dy*dy + dz*dz) on 1-D
     columns, bitwise np.linalg.norm of the gathered points.  A degenerate
     row has a side shorter than _SIDE_TOL and never passes.
     """
@@ -256,8 +248,11 @@ def _ratio_test(cols: np.ndarray, idx: np.ndarray, tol: float) -> tuple[np.ndarr
 def _align_batch(sp: np.ndarray, dp: np.ndarray) -> np.ndarray:
     """Procrustes rotations for (k, 3, 3) corresponding point triples.
 
-    Triples whose points coincide or are collinear are dropped; the rest
-    keep their order.
+    Each triple is centered and divided by its RMS radius, so scale and
+    translation do not matter, and the cross-covariance sum(dst_i' @ src_i'.T)
+    is projected onto SO(3): the rotation maps src directions onto dst
+    directions.  Triples whose points coincide or are collinear (no unique
+    rotation fits them) are dropped; the rest keep their order.
     """
     sc = sp - sp.mean(axis=1, keepdims=True)
     dc = dp - dp.mean(axis=1, keepdims=True)
@@ -268,44 +263,6 @@ def _align_batch(sp: np.ndarray, dp: np.ndarray) -> np.ndarray:
     H = np.einsum("bif,big->bfg", dc / drms[:, None, None], sc / srms[:, None, None])
     R, sv, _ = so3.nearest_rotations(H)
     return R[sv[:, 1] > _COLLINEAR_TOL]
-
-
-def triangle_ratio_check(src, dst, tol: float = 0.1) -> bool:
-    """True when the three per-side length ratios dst/src agree within tol.
-
-    Agreement means max(ratios) / min(ratios) - 1 <= tol, which is invariant
-    to the absolute scale of either triangle.
-
-    Raises:
-        DegenerateTriangle: when any side of either triangle is shorter
-            than 1e-9.
-    """
-    s = np.asarray(src, dtype=float).reshape(3, 3)
-    d = np.asarray(dst, dtype=float).reshape(3, 3)
-    passed, degenerate = _ratio_test(np.concatenate([s, d], axis=1).T, np.array([[0, 1, 2]]), tol)
-    if degenerate[0]:
-        raise DegenerateTriangle("triangle has a side shorter than 1e-9")
-    return bool(passed[0])
-
-
-def align_three_points(src, dst) -> np.ndarray:
-    """Rotation best aligning three corresponding points, scale and
-    translation ignored.
-
-    Centers both triples, normalizes each by its RMS radius, and projects
-    the cross-covariance sum(dst_i' @ src_i'.T) onto SO(3) (orthogonal
-    Procrustes).  The result maps src directions onto dst directions.
-
-    Raises:
-        CollinearPoints: when the points span no plane (cross-covariance
-            rank below 2), including coincident points.
-    """
-    s = np.asarray(src, dtype=float).reshape(3, 3)
-    d = np.asarray(dst, dtype=float).reshape(3, 3)
-    R = _align_batch(s[None], d[None])
-    if not len(R):
-        raise CollinearPoints("points coincide or are collinear; rotation about their line is free")
-    return R[0]
 
 
 def _distinct_triples(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
@@ -371,7 +328,8 @@ def harvest_hypotheses(
     if accepted < need:
         raise AttemptCapExceeded(
             f"collected {accepted}/{need} hypotheses within {attempt_cap} attempts; "
-            f"the ratio tolerance {scen.ratio_tolerance} may be too strict for this data",
+            f"the ratio tolerance {scen.ratio_tolerance} may be too strict for this data, "
+            "or the points may coincide or be collinear",
             attempts, accepted,
         )
     return np.concatenate(chunks)[:need]

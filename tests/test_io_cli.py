@@ -447,15 +447,18 @@ def test_cli_register_two_file_mode(tmp_path, capsys):
     write_xyz(src_path, src)
     write_xyz(dst_path, dst)
 
-    assert main([
-        "register", str(src_path), str(dst_path),
-        "--hypotheses", "150", "--seed", "2",
-    ]) == 0
-    payload = json.loads(capsys.readouterr().out)
+    argv = ["register", str(src_path), str(dst_path), "--hypotheses", "150", "--seed", "2"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out)
     assert "error_deg" not in payload  # no ground truth in two-file mode
     est = np.reshape(payload["estimate"], (3, 3))
     err_deg = math.degrees(so3.geodesic_distance(est, scen.rotation))
     assert err_deg < 3.0
+    # the scenario-mode flags are ignored here, even values scenario mode rejects
+    ignored = ["--noise-sigma", "nan", "--outlier-fraction", "5", "--points", "0", "--scale", "9"]
+    assert main([*argv, *ignored]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_cli_register_missing_file(capsys):

@@ -10,18 +10,14 @@ from rotavg import registration, so3
 from rotavg.fileio import load_cloud
 from rotavg.registration import (
     AttemptCapExceeded,
-    CollinearPoints,
-    DegenerateTriangle,
     RegistrationScenario,
     TooFewPoints,
-    align_three_points,
     corrupt_cloud,
     harvest_hypotheses,
     make_scenario,
     normalize_cloud,
     register_rotation,
     synthetic_pair,
-    triangle_ratio_check,
 )
 
 DATA = os.path.join(os.path.dirname(__file__), "..", "data", "standin_cloud.xyz")
@@ -29,6 +25,17 @@ DATA = os.path.join(os.path.dirname(__file__), "..", "data", "standin_cloud.xyz"
 
 def blob(rng, n=500):
     return rng.normal(size=(n, 3)) * np.array([1.0, 0.7, 0.4])
+
+
+def columns(src, dst):
+    """The (6, n) coordinate-row layout _ratio_test reads, as the harvest builds it."""
+    return np.ascontiguousarray(np.concatenate([src, dst], axis=1).T)
+
+
+def ratio_check(src, dst, tol):
+    """(passed, degenerate) of the ratio test on one corresponding triangle."""
+    passed, degenerate = registration._ratio_test(columns(src, dst), np.array([[0, 1, 2]]), tol)
+    return bool(passed[0]), bool(degenerate[0])
 
 
 # --------------------------------------------------------------------------
@@ -215,23 +222,23 @@ def test_triangle_ratio_check_similar_and_stretched():
     rng = np.random.default_rng(76)
     src = rng.normal(size=(3, 3))
     # scaling is a similarity: ratios agree to rounding error
-    assert triangle_ratio_check(src, 3.0 * src, tol=1e-12)
+    assert ratio_check(src, 3.0 * src, tol=1e-12) == (True, False)
     R = so3.exp_map(rng.normal(size=3))
-    assert triangle_ratio_check(src, src @ R.T, tol=1e-9)
+    assert ratio_check(src, src @ R.T, tol=1e-9) == (True, False)
     # stretch one vertex away: side ratios disagree by far more than 10%
     bad = src.copy()
     bad[0] = bad[1] + 2.0 * (bad[0] - bad[1])
-    assert not triangle_ratio_check(src, bad, tol=0.1)
+    assert ratio_check(src, bad, tol=0.1) == (False, False)
 
 
 def test_triangle_ratio_check_degenerate():
     src = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     dst = src.copy()
     dst[1] = dst[0]  # zero-length side
-    with pytest.raises(DegenerateTriangle):
-        triangle_ratio_check(src, dst)
-    with pytest.raises(DegenerateTriangle):
-        triangle_ratio_check(dst, src)
+    # flagged in either cloud, and never passed, even with the filter off
+    for tol in (0.1, math.inf):
+        assert ratio_check(src, dst, tol) == (False, True)
+        assert ratio_check(dst, src, tol) == (False, True)
 
 
 def test_triangle_filter_accepts_inlier_triples_under_noise():
@@ -241,15 +248,15 @@ def test_triangle_filter_accepts_inlier_triples_under_noise():
     src = normalize_cloud(load_cloud(DATA), 1000, rng)
     scen = make_scenario(seed=6, outlier_fraction=0.0, noise_sigma=0.01)
     dst = corrupt_cloud(src, scen)
-    accepted = tried = 0
-    while tried < 500:
+    triples = []
+    while len(triples) < 500:
         idx = rng.choice(len(src), size=3, replace=False)
         sides = np.linalg.norm(src[idx] - np.roll(src[idx], 1, axis=0), axis=1)
-        if sides.min() < 0.2:
-            continue
-        tried += 1
-        accepted += triangle_ratio_check(src[idx], dst[idx], tol=0.1)
-    assert accepted / tried > 0.90
+        if sides.min() >= 0.2:
+            triples.append(idx)
+    passed, degenerate = registration._ratio_test(columns(src, dst), np.array(triples), 0.1)
+    assert not degenerate.any()
+    assert passed.mean() > 0.90
 
 
 # --------------------------------------------------------------------------
@@ -260,16 +267,20 @@ def test_align_three_points_exact():
     rng = np.random.default_rng(78)
     from _oracles import horn_rotation
 
+    src, truth = [], []
     for _ in range(50):
-        src = rng.normal(size=(3, 3))
-        R = so3.exp_map(rng.normal(size=3))
-        dst = src @ R.T
-        est = align_three_points(src, dst)
-        assert np.allclose(est, R, atol=1e-9)
-        # scale and translation on either side must not matter
-        est2 = align_three_points(1.7 * src - 4.0, 3.0 * dst + np.array([1.0, -2.0, 0.5]))
-        assert np.allclose(est2, R, atol=1e-9)
-    # oracle self-check on exact data, then the library against it
+        src.append(rng.normal(size=(3, 3)))
+        truth.append(so3.exp_map(rng.normal(size=3)))
+    src, truth = np.array(src), np.array(truth)
+    dst = src @ truth.transpose(0, 2, 1)
+    # all 50 in one batch, so each row must come back in its own place
+    est = registration._align_batch(src, dst)
+    assert est.shape == (50, 3, 3)
+    assert np.allclose(est, truth, atol=1e-9)
+    # scale and translation on either side must not matter
+    est2 = registration._align_batch(1.7 * src - 4.0, 3.0 * dst + np.array([1.0, -2.0, 0.5]))
+    assert np.allclose(est2, truth, atol=1e-9)
+    # oracle self-check on exact data
     src = rng.normal(size=(3, 3))
     R = so3.exp_map(rng.normal(size=3))
     centered = src - src.mean(axis=0)
@@ -284,7 +295,7 @@ def test_align_three_points_matches_horn_oracle_under_noise():
         src = rng.normal(size=(3, 3))
         R = so3.exp_map(rng.normal(size=3))
         dst = src @ R.T + rng.normal(0.0, 0.01, size=(3, 3))
-        est = align_three_points(src, dst)
+        (est,) = registration._align_batch(src[None], dst[None])
         # feed the oracle the same centered/RMS-normalized points the
         # library sees, so both solve the identical orientation problem
         sc = src - src.mean(axis=0)
@@ -296,12 +307,18 @@ def test_align_three_points_matches_horn_oracle_under_noise():
 
 
 def test_align_three_points_collinear():
-    src = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
-    with pytest.raises(CollinearPoints):
-        align_three_points(src, src)
+    line = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
     same = np.ones((3, 3))
-    with pytest.raises(CollinearPoints):
-        align_three_points(same, same)
+    for triple in (line, same):
+        assert registration._align_batch(triple[None], triple[None]).shape == (0, 3, 3)
+    # dropped rows leave the others in order
+    rng = np.random.default_rng(91)
+    good = rng.normal(size=(2, 3, 3))
+    truth = so3.exp_map(rng.normal(size=(4, 3)))
+    batch = np.array([line, good[0], same, good[1]])
+    est = registration._align_batch(batch, batch @ truth.transpose(0, 2, 1))
+    assert est.shape == (2, 3, 3)
+    assert np.allclose(est, truth[[1, 3]], atol=1e-9)
 
 
 # --------------------------------------------------------------------------
@@ -341,6 +358,13 @@ def test_harvest_attempt_cap():
     # zero tolerance on noisy data accepts (almost) nothing
     with pytest.raises(AttemptCapExceeded):
         harvest_hypotheses(src, dst, scen, attempt_cap=20_000)
+    # a collinear cloud passes every ratio test and aligns no triple, so the
+    # message must name the geometry as well as the tolerance
+    line = rng.uniform(-0.5, 0.5, (300, 1)) * np.array([0.6, 0.3, 0.2])
+    scen = RegistrationScenario(scale=None, rotation=None, translation=None, n_hypotheses=50)
+    with pytest.raises(AttemptCapExceeded, match="collinear") as info:
+        harvest_hypotheses(line, line, scen, attempt_cap=4096)
+    assert info.value.accepted == 0
 
 
 def test_harvest_filter_enriches_inliers():
@@ -379,7 +403,7 @@ def _oracle_batches(src, dst, seed, n_batches, tol=0.1, m=4096):
     """
     from _oracles import harvest_triples_scalar
 
-    cols = np.ascontiguousarray(np.concatenate([src, dst], axis=1).T)
+    cols = columns(src, dst)
     passed = degenerate = accepted = 0
     for b in range(n_batches):
         stream = lambda: registration._stream(seed, registration._TAG_HARVEST, b)

@@ -1,18 +1,20 @@
 """Symmetries of robust_average on benchmark stacks.
 
 The truncated cost depends on the samples only through their pairwise
-distances, which a common left rotation and a reordering both preserve.  So
-rotating every sample by Q rotates the estimate by Q, and shuffling the
-samples shuffles the inliers and leaves the estimate alone.  The second
-holds only when the proxy winner is unique: with two candidates at the same
-cost the lowest index wins, and a shuffle can change which one that is.
+distances, which a common left or right rotation and a reordering all
+preserve.  So rotating every sample by Q, on either side, rotates the
+estimate by Q on that side, and shuffling the samples shuffles the inliers
+and leaves the estimate alone.  The second holds only when the proxy winner
+is unique: with two candidates at the same cost the lowest index wins, and a
+shuffle can change which one that is.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rotavg import so3
+from rotavg import averaging, so3
 from rotavg.averaging import TludConfig, robust_average, tlud_cost_chordal
 from rotavg.bench import BenchScenario, generate_trial, random_outlier
 
@@ -33,14 +35,31 @@ def _rng(draw):
     return np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
 
-@SYMMETRY
-@given(samples=trials(), data=st.data())
-def test_left_rotation_rotates_the_estimate(samples, data):
-    Q = random_outlier(_rng(data.draw))
+def _turn(side, Q, Rs):
+    return Q @ Rs if side == "left" else Rs @ Q
+
+
+def _assert_rotation_rotates_the_estimate(samples, Q, side):
     res = robust_average(samples)
-    turned = robust_average(Q @ samples)
-    assert so3.geodesic_distance(turned.estimate, Q @ res.estimate) <= 1e-12
+    turned = robust_average(_turn(side, Q, samples))
+    assert so3.geodesic_distance(turned.estimate, _turn(side, Q, res.estimate)) <= 1e-12
     assert np.array_equal(turned.inliers, res.inliers)
+    assert turned.init_index == res.init_index
+
+
+@SYMMETRY
+@given(samples=trials(), side=st.sampled_from(["left", "right"]), data=st.data())
+def test_left_rotation_rotates_the_estimate(samples, side, data):
+    # up to 400 samples: the dense proxy search
+    _assert_rotation_rotates_the_estimate(samples, random_outlier(_rng(data.draw)), side)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("outlier_ratio, seed", [(0.90, 41), (0.99, 42)])
+def test_rotation_rotates_the_grid_estimate(outlier_ratio, seed, side):
+    samples = generate_trial(BenchScenario(2000, outlier_ratio, 5.0, 1, seed=seed), 0)[0]
+    assert len(samples) >= averaging._GRID_MIN_N  # the neighbour-grid proxy search
+    _assert_rotation_rotates_the_estimate(samples, random_outlier(np.random.default_rng(seed)), side)
 
 
 @SYMMETRY
