@@ -31,11 +31,12 @@ def _list_of(kind):
 
     def parse(text: str) -> list:
         try:
-            return [kind(f) for f in text.split(",") if f.strip()]
+            values = [kind(f) for f in text.split(",") if f.strip()]
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"not a comma-separated {kind.__name__} list: {text!r}"
-            ) from None
+            values = []
+        if not values:  # a malformed field, or no field at all
+            raise argparse.ArgumentTypeError(f"not a comma-separated {kind.__name__} list: {text!r}")
+        return values
 
     return parse
 
@@ -116,8 +117,7 @@ def _cmd_register(args: argparse.Namespace) -> int:
         # Two-file mode: clouds already correspond point-for-point.
         dst = fileio.load_cloud(args.dst)
         scen = registration.RegistrationScenario(
-            scale=None, rotation=None, translation=None,
-            n_hypotheses=args.hypotheses, ratio_tolerance=args.ratio_tol, seed=args.seed,
+            seed=args.seed, n_hypotheses=args.hypotheses, ratio_tolerance=args.ratio_tol
         )
     else:
         # Scenario mode: corrupt the cloud ourselves and score the recovery.

@@ -13,15 +13,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from rotavg import so3
-from rotavg.averaging import (
-    AveragingResult, TludConfig, _as_rotation, _count, _nonnegative, robust_average,
-)
-from rotavg.bench import _seed, _stream, random_outlier
+from rotavg.averaging import AveragingResult, TludConfig, _count, _nonnegative, robust_average
+from rotavg.bench import _stream, random_outlier
 
 __all__ = [
     "TooFewPoints",
@@ -61,8 +59,8 @@ class TooFewPoints(ValueError):
 
 class AttemptCapExceeded(RuntimeError):
     """Hypothesis harvesting ran out of attempts before filling its quota:
-    the ratio tolerance is too strict for the data, or the points coincide
-    or are collinear, so no triple can be aligned.
+    the ratio tolerance is too strict for the data, or too few triples are
+    free of coincident or collinear points to be aligned.
 
     .attempts and .accepted count the triples drawn and the hypotheses kept.
     """
@@ -86,42 +84,43 @@ def _as_cloud(points, min_points: int = 1) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RegistrationScenario:
-    """Corruption and harvesting parameters for one registration run.
+    """Seed and settings of one registration run; the transform follows.
 
-    scale/rotation/translation may be None for runs that only harvest (the
-    CLI two-file mode); corrupt_cloud requires all three.  A given rotation
-    must pass the averaging stages' check (so3.ROTATION_TOL), or
-    so3.NotARotation is raised; a translation must be a finite 3-vector.
-    Both are stored as float arrays.  make_scenario draws the rotation and
-    translation, and the scale unless given, from the seed.
+    __post_init__ draws from the seed the scale, uniform in (1, 5) unless
+    fixed_scale gives it, the rotation, uniform over SO(3), and the
+    translation, uniform in [-1, 1]^3 (centroid subtraction removes it
+    downstream).  They are not inputs, so dataclasses.replace redraws the
+    same transform.  Two-file `rotavg register` reads only the settings.
     """
 
-    scale: float | None
-    rotation: np.ndarray | None
-    translation: np.ndarray | None
-    noise_sigma: float = 0.01
+    seed: int = 0
     outlier_fraction: float = 0.0
     n_hypotheses: int = 2000
+    noise_sigma: float = 0.01
     ratio_tolerance: float = 0.1
-    seed: int = 0
+    fixed_scale: float | None = None
+    scale: float = field(init=False)
+    rotation: np.ndarray = field(init=False)
+    translation: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.scale is not None and not 1.0 < self.scale < 5.0:
-            raise ValueError(f"scale must lie in (1, 5), got {self.scale}")
-        if self.rotation is not None:
-            object.__setattr__(self, "rotation", _as_rotation(self.rotation, "rotation"))
-        if self.translation is not None:
-            t = np.asarray(self.translation, dtype=float)
-            if t.shape != (3,) or not np.isfinite(t).all():
-                raise ValueError(f"translation must be a finite 3-vector, got {self.translation!r}")
-            object.__setattr__(self, "translation", t)
+        if self.fixed_scale is not None and not 1.0 < self.fixed_scale < 5.0:
+            raise ValueError(f"scale must lie in (1, 5), got {self.fixed_scale}")
         _nonnegative("noise_sigma", self.noise_sigma)
         if not 0.0 <= self.outlier_fraction <= 0.98:
             raise ValueError(f"outlier_fraction must lie in [0, 0.98], got {self.outlier_fraction}")
         _count("n_hypotheses", self.n_hypotheses)
         if not self.ratio_tolerance >= 0.0:  # inf is allowed: it turns the filter off
             raise ValueError(f"ratio_tolerance must be non-negative, got {self.ratio_tolerance}")
-        _seed(self.seed)
+        rng = _stream(self.seed, _TAG_SCENARIO)  # checks the seed
+        scale = self.fixed_scale
+        if scale is None:
+            scale = float(rng.uniform(1.0, 5.0))
+            while scale <= 1.0:  # uniform(1, 5) can land exactly on 1
+                scale = float(rng.uniform(1.0, 5.0))
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "rotation", random_outlier(rng))
+        object.__setattr__(self, "translation", rng.uniform(-1.0, 1.0, 3))
 
 
 def make_scenario(
@@ -132,28 +131,9 @@ def make_scenario(
     ratio_tolerance: float = 0.1,
     scale: float | None = None,
 ) -> RegistrationScenario:
-    """Materialize a scenario, drawing its transform from the seed.
-
-    The scale, unless given, is uniform in (1, 5), the rotation uniform over
-    SO(3), the translation uniform in [-1, 1]^3 (its range is immaterial:
-    centroid subtraction removes it downstream).
-    """
-    rng = _stream(seed, _TAG_SCENARIO)
-    if scale is None:
-        scale = float(rng.uniform(1.0, 5.0))
-        while scale <= 1.0:  # uniform(1, 5) can land exactly on 1
-            scale = float(rng.uniform(1.0, 5.0))
-    rotation = random_outlier(rng)
-    translation = rng.uniform(-1.0, 1.0, 3)
+    """RegistrationScenario with these settings; scale, if given, is its fixed_scale."""
     return RegistrationScenario(
-        scale=scale,
-        rotation=rotation,
-        translation=translation,
-        noise_sigma=noise_sigma,
-        outlier_fraction=outlier_fraction,
-        n_hypotheses=n_hypotheses,
-        ratio_tolerance=ratio_tolerance,
-        seed=seed,
+        seed, outlier_fraction, n_hypotheses, noise_sigma, ratio_tolerance, scale
     )
 
 
@@ -188,11 +168,9 @@ def corrupt_cloud(points, scen: RegistrationScenario) -> np.ndarray:
     scen.noise_sigma, then replaces a uniformly chosen (without replacement)
     round(outlier_fraction * n) subset of points with uniform samples from
     the ball of diameter sqrt(3) * scale centered on the cloud's centroid.
-    All randomness comes from the scenario seed.
+    The transform and all other randomness come from the scenario seed.
     """
     p = _as_cloud(points)
-    if scen.scale is None or scen.rotation is None or scen.translation is None:
-        raise ValueError("scenario must carry scale, rotation, and translation to corrupt a cloud")
     rng = _stream(scen.seed, _TAG_CORRUPT)
     q = scen.scale * (p @ scen.rotation.T) + scen.translation
     q = q + rng.normal(0.0, scen.noise_sigma, size=q.shape)
@@ -302,15 +280,23 @@ def harvest_hypotheses(
     stream derived from (scenario seed, batch index), and accepted
     hypotheses concatenate in batch order, so a seed always yields the same
     hypotheses.  One DEBUG record on the "rotavg.registration" logger
-    reports batches, attempts, accepted count and acceptance rate.
+    reports batches, attempts, accepted count and acceptance rate.  A cloud
+    whose points coincide, or lie within about 1e-9 (relative) of a line,
+    is rejected first: its hypotheses would be set by rounding.
 
     Raises:
+        so3.DegenerateMatrix: when either cloud is collinear or coincident.
         AttemptCapExceeded: when attempt_cap attempts cannot fill the quota.
     """
     s = _as_cloud(src, min_points=3)
     d = _as_cloud(dst, min_points=3)
     if len(s) != len(d):
         raise ValueError(f"clouds must correspond point-for-point, got {len(s)} vs {len(d)}")
+    for name, p in (("src", s), ("dst", d)):
+        c = p - p.mean(axis=0)
+        norm = np.linalg.norm(c)
+        if norm < 1e-12 or np.linalg.svd(c / norm, compute_uv=False)[1] <= _COLLINEAR_TOL:
+            raise so3.DegenerateMatrix(f"{name} points are collinear or all coincide")
     _count("attempt_cap", attempt_cap)
     need = scen.n_hypotheses
     cols = np.ascontiguousarray(np.concatenate([s, d], axis=1).T)

@@ -409,10 +409,12 @@ def test_cli_bench_desk_preset_passes_the_seed(monkeypatch, capsys):
 
 
 def test_cli_bench_bad_list_argument(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bench", "--n", "20;30", "--trials", "2"])
-    assert exc.value.code == 2
-    capsys.readouterr()
+    # "," leaves no field once the empty ones are dropped, so it would run nothing
+    for flag, value in (("--n", "20;30"), ("--n", ","), ("--ratio", ","), ("--sigma", ",")):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", flag, value, "--trials", "2"])
+        assert exc.value.code == 2
+        assert "not a comma-separated" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------------
@@ -459,6 +461,14 @@ def test_cli_register_two_file_mode(tmp_path, capsys):
     ignored = ["--noise-sigma", "nan", "--outlier-fraction", "5", "--points", "0", "--scale", "9"]
     assert main([*argv, *ignored]) == 0
     assert capsys.readouterr().out == out
+
+
+def test_cli_register_degenerate_cloud_fails_at_once(tmp_path, capsys):
+    line = tmp_path / "line.xyz"
+    write_xyz(line, np.linspace(-0.5, 0.5, 300)[:, None] * np.array([0.6, 0.3, 0.2]))
+    assert main(["register", str(line), str(line), "--hypotheses", "50"]) == 3
+    err = capsys.readouterr().err
+    assert "collinear or all coincide" in err and "attempts" not in err
 
 
 def test_cli_register_missing_file(capsys):

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from rotavg import registration, so3
+from rotavg import bench, registration, so3
 from rotavg.fileio import load_cloud
 from rotavg.registration import (
     AttemptCapExceeded,
@@ -66,38 +66,29 @@ def test_scenario_validation():
         with pytest.raises(ValueError, match="seed"):
             make_scenario(seed=bad, outlier_fraction=0.5)
         with pytest.raises(ValueError, match="seed"):
-            RegistrationScenario(scale=None, rotation=None, translation=None, seed=bad)
+            RegistrationScenario(seed=bad)
     with pytest.raises(ValueError, match="seed"):
         synthetic_pair(blob(np.random.default_rng(70), 50), 1.5, 0.5, n_points=20)
-    with pytest.raises(ValueError):
-        RegistrationScenario(
-            scale=2.0, rotation=np.eye(3) * 2.0, translation=np.zeros(3)
-        )
-    for bad in (np.zeros(2), [0.0, 0.0, math.nan], [math.inf, 0.0, 0.0], [0.0, -math.inf, 0.0]):
-        with pytest.raises(ValueError, match="translation must be a finite 3-vector"):
-            RegistrationScenario(scale=2.0, rotation=np.eye(3), translation=bad)
+    for bad in (1.0, 5.0, math.nan):
+        with pytest.raises(ValueError, match="scale"):
+            RegistrationScenario(fixed_scale=bad)
+    # the transform is drawn from the seed, never given
+    given = {"scale": 2.0, "rotation": np.eye(3), "translation": np.zeros(3)}
+    for kwargs in (given, *({k: v} for k, v in given.items())):
+        with pytest.raises(TypeError):
+            RegistrationScenario(**kwargs)
 
 
-def test_scenario_rotation_uses_the_library_tolerance():
-    # the averaging stages accept a rotation off by 1e-8, and so does the scenario
-    R = so3.exp_map([0.3, -0.2, 0.1])
-    off = R + 1e-8 * np.outer([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    assert not so3.is_rotation(off) and so3.is_rotation(off, tol=so3.ROTATION_TOL)
-    RegistrationScenario(scale=2.0, rotation=off, translation=np.zeros(3))
-    for bad in (np.eye(3) * 2.0, np.full((3, 3), np.nan), np.eye(3)[None], np.eye(4)):
-        with pytest.raises(so3.NotARotation, match="rotation is not a finite 3x3 rotation"):
-            RegistrationScenario(scale=2.0, rotation=bad, translation=np.zeros(3))
-
-
-def test_scenario_stores_checked_arrays():
-    # corrupt_cloud transposes the rotation, so a list must be stored as an array
-    src = normalize_cloud(blob(np.random.default_rng(76), 100), 50, np.random.default_rng(77))
-    R = so3.exp_map([0.3, -0.2, 0.1])
-    t = np.array([0.1, -0.4, 0.2])
-    as_arrays = RegistrationScenario(scale=2.0, rotation=R, translation=t, outlier_fraction=0.2)
-    as_lists = RegistrationScenario(scale=2.0, rotation=R.tolist(), translation=t.tolist(),
-                                    outlier_fraction=0.2)
-    assert corrupt_cloud(src, as_lists).tobytes() == corrupt_cloud(src, as_arrays).tobytes()
+def test_scenario_replace_keeps_the_transform():
+    # the drawn scale stays out of fixed_scale, so replace redraws the same
+    # scale and then the same rotation and translation
+    for fixed in (None, 2.5):
+        scen = make_scenario(seed=31, outlier_fraction=0.9, scale=fixed)
+        more = dataclasses.replace(scen, n_hypotheses=4000)
+        assert more.n_hypotheses == 4000 and more.fixed_scale == fixed
+        assert more.scale == scen.scale
+        assert more.rotation.tobytes() == scen.rotation.tobytes()
+        assert more.translation.tobytes() == scen.translation.tobytes()
 
 
 def test_make_scenario_draws_are_deterministic_and_in_range():
@@ -109,8 +100,43 @@ def test_make_scenario_draws_are_deterministic_and_in_range():
     assert 1.0 < a.scale < 5.0
     assert so3.is_rotation(a.rotation)
     assert (np.abs(a.translation) <= 1.0).all()
+    assert isinstance(a.rotation, np.ndarray)
+    assert a.translation.shape == (3,)
     c = make_scenario(seed=18, outlier_fraction=0.3)
     assert c.scale != a.scale
+
+
+class QueuedRng:
+    """Generator stand-in whose normal and uniform calls return queued values."""
+
+    def __init__(self, normal=(), uniform=()):
+        self.queues = {"normal": list(normal), "uniform": list(uniform)}
+
+    def normal(self, *args, **kwargs):
+        return self.queues["normal"].pop(0)
+
+    def uniform(self, *args, **kwargs):
+        return self.queues["uniform"].pop(0)
+
+
+def test_random_outlier_redraws_a_parallel_second_column():
+    # the scenario's rotation comes from bench.random_outlier
+    x, y = np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])
+    rng = QueuedRng(normal=[x.copy(), 2.0 * x, y])
+    R = bench.random_outlier(rng)
+    assert so3.is_rotation(R) and np.array_equal(R[:, 1], y[0])
+    assert rng.queues["normal"] == []
+
+
+def test_scenario_redraws_a_scale_of_exactly_one(monkeypatch):
+    rng = QueuedRng(normal=[np.array([[1.0, 0.0, 0.0]]), np.array([[0.0, 1.0, 0.0]])],
+                    uniform=[1.0, 2.5, np.array([0.1, 0.2, 0.3])])
+    monkeypatch.setattr(registration, "_stream", lambda seed, *tags: rng)
+    scen = RegistrationScenario()
+    assert scen.scale == 2.5
+    assert so3.is_rotation(scen.rotation)
+    assert np.array_equal(scen.translation, [0.1, 0.2, 0.3])
+    assert rng.queues == {"normal": [], "uniform": []}
 
 
 # --------------------------------------------------------------------------
@@ -206,12 +232,6 @@ def test_synthetic_pair_matches_hand_built_scenario():
             a, b = getattr(got[2], f.name), getattr(scen, f.name)
             assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), f.name
     assert synthetic_pair(cloud, 5, 0.5, n_points=300, scale=2.0)[0].shape == (300, 3)
-
-
-def test_corrupt_cloud_needs_full_transform():
-    scen = RegistrationScenario(scale=None, rotation=None, translation=None)
-    with pytest.raises(ValueError):
-        corrupt_cloud(np.zeros((4, 3)), scen)
 
 
 # --------------------------------------------------------------------------
@@ -358,13 +378,14 @@ def test_harvest_attempt_cap():
     # zero tolerance on noisy data accepts (almost) nothing
     with pytest.raises(AttemptCapExceeded):
         harvest_hypotheses(src, dst, scen, attempt_cap=20_000)
-    # a collinear cloud passes every ratio test and aligns no triple, so the
-    # message must name the geometry as well as the tolerance
+    # a collinear or coincident cloud aligns no triple: it fails before any attempt
     line = rng.uniform(-0.5, 0.5, (300, 1)) * np.array([0.6, 0.3, 0.2])
-    scen = RegistrationScenario(scale=None, rotation=None, translation=None, n_hypotheses=50)
-    with pytest.raises(AttemptCapExceeded, match="collinear") as info:
-        harvest_hypotheses(line, line, scen, attempt_cap=4096)
-    assert info.value.accepted == 0
+    point = np.tile([0.1, -0.2, 0.3], (300, 1))
+    scen = RegistrationScenario(n_hypotheses=50)
+    for a, b, name in ((line, line, "src"), (point, point, "src"), (src, line, "dst"),
+                       (src, point, "dst")):
+        with pytest.raises(so3.DegenerateMatrix, match=f"{name} points are collinear"):
+            harvest_hypotheses(a, b, scen, attempt_cap=1)
 
 
 def test_harvest_filter_enriches_inliers():
