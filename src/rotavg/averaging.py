@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,12 +125,9 @@ class AveragingResult:
             samples used for refinement (all N rows for weiszfeld_geodesic_l1).
         init_index: index of the input chosen by proxy initialization, or
             None when refinement was seeded some other way.
-        iterations: refinement iterations executed.
-        update_norms: per-iteration step length, radians; length == iterations.
-        final_cost: sum of geodesic deviations over the inliers at the
-            final estimate, radians.
-        cost_history: that same cost before refinement and after every
-            iteration; length == iterations + 1.
+        update_norms: per-iteration step length, radians.
+        cost_history: sum of geodesic deviations over the inliers, radians,
+            before refinement and after each of the iterations.
         guard_fired: True when some sample coincided with the iterate during
             refinement and was excluded from the weights for that iteration.
     """
@@ -138,11 +135,19 @@ class AveragingResult:
     estimate: np.ndarray
     inliers: np.ndarray
     init_index: int | None
-    iterations: int
     update_norms: np.ndarray
-    final_cost: float
-    cost_history: np.ndarray = field(default_factory=lambda: np.empty(0))
-    guard_fired: bool = False
+    cost_history: np.ndarray
+    guard_fired: bool
+
+    @property
+    def iterations(self) -> int:
+        """Refinement iterations executed: one per update_norms entry."""
+        return len(self.update_norms)
+
+    @property
+    def final_cost(self) -> float:
+        """The cost at the final estimate: the last cost_history entry."""
+        return float(self.cost_history[-1])
 
 
 def _positive(name: str, value: float) -> None:
@@ -377,7 +382,9 @@ def _lowest_least(costs: np.ndarray) -> int:
     return int(np.flatnonzero(costs <= costs.min() + _COST_TOL * len(costs))[0])
 
 
-def proxy_initialize(samples: np.ndarray, epsilon_c: float = 0.5) -> tuple[int, np.ndarray]:
+def proxy_initialize(
+    samples: np.ndarray, epsilon_c: float = TludConfig.epsilon_c
+) -> tuple[int, np.ndarray]:
     """Index and value of the input rotation with the least truncated chordal cost.
 
     cost_j = sum_i min(d_ij, epsilon_c) with d the chordal (Frobenius)
@@ -423,7 +430,9 @@ def proxy_initialize(samples: np.ndarray, epsilon_c: float = 0.5) -> tuple[int, 
     return j, Rs[j].copy()
 
 
-def select_inliers(center: np.ndarray, samples: np.ndarray, epsilon_c: float = 0.5) -> np.ndarray:
+def select_inliers(
+    center: np.ndarray, samples: np.ndarray, epsilon_c: float = TludConfig.epsilon_c
+) -> np.ndarray:
     """Sorted indices of samples within chordal distance epsilon_c of center (inclusive)."""
     Rs = _as_stack(samples)
     center = _as_rotation(center, "center")
@@ -448,8 +457,8 @@ def chordal_l2_mean(samples: np.ndarray) -> np.ndarray:
 def weiszfeld_geodesic_l1(
     samples: np.ndarray,
     seed: np.ndarray,
-    delta: float = 0.001,
-    it_max: int = 10,
+    delta: float = TludConfig.delta,
+    it_max: int = TludConfig.it_max,
 ) -> AveragingResult:
     """Iteratively reweighted geodesic median of every sample, from seed.
 
@@ -475,9 +484,7 @@ def weiszfeld_geodesic_l1(
     costs = [float(ni.sum())]
     update_norms: list[float] = []
     guard = False
-    iterations = 0
     for _ in range(it_max):
-        iterations += 1
         active = ni >= COINCIDENT_TOL
         if not np.all(active):
             guard = True
@@ -499,15 +506,15 @@ def weiszfeld_geodesic_l1(
         estimate=R,
         inliers=np.arange(len(Rs)),
         init_index=None,
-        iterations=iterations,
         update_norms=np.asarray(update_norms),
-        final_cost=costs[-1],
         cost_history=np.asarray(costs),
         guard_fired=guard,
     )
 
 
-def geodesic_l1_mean(samples: np.ndarray, delta: float = 0.001, it_max: int = 10) -> AveragingResult:
+def geodesic_l1_mean(
+    samples: np.ndarray, delta: float = TludConfig.delta, it_max: int = TludConfig.it_max
+) -> AveragingResult:
     """Plain geodesic median of all samples (no outlier handling).
 
     weiszfeld_geodesic_l1 seeded from the chordal_l2_mean of the stack.

@@ -12,7 +12,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -107,14 +107,26 @@ class BenchScenario:
 
 @dataclass
 class BenchReport:
-    """Per-trial errors/runtimes and their summary statistics for one run."""
+    """Per-trial errors and runtimes of one run; the summary statistics follow them."""
 
     per_trial_error_deg: np.ndarray
     per_trial_runtime_ms: np.ndarray
-    mean_error_deg: float
-    median_error_deg: float
-    failure_count: int
-    median_runtime_ms: float
+
+    @property
+    def mean_error_deg(self) -> float:
+        return float(np.mean(self.per_trial_error_deg))
+
+    @property
+    def median_error_deg(self) -> float:
+        return float(np.median(self.per_trial_error_deg))
+
+    @property
+    def failure_count(self) -> int:
+        return int(np.sum(self.per_trial_error_deg > FAILURE_THRESHOLD_DEG))
+
+    @property
+    def median_runtime_ms(self) -> float:
+        return float(np.median(self.per_trial_runtime_ms))
 
 
 @dataclass
@@ -201,14 +213,7 @@ def run_scenario(scenario: BenchScenario, method) -> BenchReport:
         except Exception:
             errors[trial] = math.inf
         runtimes[trial] = (time.perf_counter() - t0) * 1e3
-    return BenchReport(
-        per_trial_error_deg=errors,
-        per_trial_runtime_ms=runtimes,
-        mean_error_deg=float(np.mean(errors)),
-        median_error_deg=float(np.median(errors)),
-        failure_count=int(np.sum(errors > FAILURE_THRESHOLD_DEG)),
-        median_runtime_ms=float(np.median(runtimes)),
-    )
+    return BenchReport(errors, runtimes)
 
 
 def sweep(scenarios, methods, n_workers: int = 1) -> list[SweepRow]:
@@ -268,8 +273,7 @@ def without_timing(rows: list[SweepRow]) -> list[SweepRow]:
     out = []
     for row in rows:
         zero = np.zeros_like(row.report.per_trial_runtime_ms)
-        report = replace(row.report, per_trial_runtime_ms=zero, median_runtime_ms=0.0)
-        out.append(replace(row, report=report))
+        out.append(replace(row, report=replace(row.report, per_trial_runtime_ms=zero)))
     return out
 
 
@@ -293,15 +297,10 @@ def write_trials_csv(path, rows: list[SweepRow]) -> None:
 
 
 def _summary_dict(row: SweepRow) -> dict:
-    s = row.scenario
     r = row.report
     return {
         "method": row.method,
-        "n_samples": s.n_samples,
-        "outlier_ratio": s.outlier_ratio,
-        "sigma_deg": s.sigma_deg,
-        "n_trials": s.n_trials,
-        "seed": s.seed,
+        **asdict(row.scenario),
         "mean_error_deg": r.mean_error_deg,
         "median_error_deg": r.median_error_deg,
         "failure_count": r.failure_count,

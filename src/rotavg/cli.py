@@ -7,8 +7,8 @@ Three subcommands:
 ``rotavg register``  recover the rotation between two corresponding clouds,
                      or corrupt one cloud into a full synthetic scenario.
 
-Exit codes: 0 on success, 2 for unreadable/malformed inputs or bad
-parameters, 3 when the numbers themselves defeat the computation
+Exit codes: 0 on success, 2 for unreadable/malformed inputs, unwritable
+outputs or bad parameters, 3 when the numbers themselves defeat the computation
 (non-rotation inputs without --repair, degenerate matrices, hypothesis
 harvesting hitting its attempt cap).
 """
@@ -16,6 +16,7 @@ harvesting hitting its attempt cap).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -50,23 +51,18 @@ def _dump_json(payload: dict, out_path: str | None) -> None:
 
 
 def _tlud_config(args: argparse.Namespace) -> TludConfig:
-    return TludConfig(
-        epsilon_c=args.epsilon_c,
-        delta=args.delta,
-        it_max=args.it_max,
-        realternate=args.realternate,
-    )
+    return TludConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(TludConfig)})
 
 
 def _add_tlud_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--epsilon-c", type=float, default=0.5, metavar="EPS",
-                   help="chordal inlier threshold (default 0.5)")
-    p.add_argument("--delta", type=float, default=0.001, metavar="D",
-                   help="refinement stop threshold in radians (default 0.001)")
-    p.add_argument("--it-max", type=int, default=10, metavar="K",
-                   help="max refinement iterations (default 10)")
-    p.add_argument("--realternate", type=int, default=0, metavar="R",
-                   help="extra select/refine rounds until the inlier set settles (default 0)")
+    p.add_argument("--epsilon-c", type=float, default=TludConfig.epsilon_c, metavar="EPS",
+                   help="chordal inlier threshold (default %(default)s)")
+    p.add_argument("--delta", type=float, default=TludConfig.delta, metavar="D",
+                   help="refinement stop threshold in radians (default %(default)s)")
+    p.add_argument("--it-max", type=int, default=TludConfig.it_max, metavar="K",
+                   help="max refinement iterations (default %(default)s)")
+    p.add_argument("--realternate", type=int, default=TludConfig.realternate, metavar="R",
+                   help="extra select/refine rounds until the inlier set settles (default %(default)s)")
 
 
 def _cmd_average(args: argparse.Namespace) -> int:
@@ -200,6 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
         "report the recovery error; with two clouds (corresponding "
         "point-for-point), estimate the rotation between them.",
     )
+    scenario = registration.RegistrationScenario  # owns the scenario defaults
     p_reg.add_argument("src", help="source cloud (.xyz or ASCII .ply)")
     p_reg.add_argument("dst", nargs="?", default=None,
                        help="corresponding target cloud (omit for scenario mode)")
@@ -207,16 +204,16 @@ def build_parser() -> argparse.ArgumentParser:
                        help="scenario mode: fraction of points replaced, in [0, 0.98] (default 0.9)")
     p_reg.add_argument("--scale", type=float, default=None, metavar="S",
                        help="scenario mode: similarity scale in (1, 5) (default: drawn from seed)")
-    p_reg.add_argument("--noise-sigma", type=float, default=0.01, metavar="SIG",
-                       help="scenario mode: Gaussian noise std dev (default 0.01)")
+    p_reg.add_argument("--noise-sigma", type=float, default=scenario.noise_sigma, metavar="SIG",
+                       help="scenario mode: Gaussian noise std dev (default %(default)s)")
     p_reg.add_argument("--points", type=int, default=1000, metavar="N",
                        help="scenario mode: downsample the cloud to N points (default 1000)")
-    p_reg.add_argument("--hypotheses", type=int, default=2000, metavar="H",
-                       help="rotation hypotheses to harvest (default 2000)")
-    p_reg.add_argument("--ratio-tol", type=float, default=0.1, metavar="TOL",
-                       help="triangle side-ratio agreement tolerance (default 0.1)")
-    p_reg.add_argument("--seed", type=int, default=0, metavar="S",
-                       help="scenario seed (default 0)")
+    p_reg.add_argument("--hypotheses", type=int, default=scenario.n_hypotheses, metavar="H",
+                       help="rotation hypotheses to harvest (default %(default)s)")
+    p_reg.add_argument("--ratio-tol", type=float, default=scenario.ratio_tolerance, metavar="TOL",
+                       help="triangle side-ratio agreement tolerance (default %(default)s)")
+    p_reg.add_argument("--seed", type=int, default=scenario.seed, metavar="S",
+                       help="scenario seed (default %(default)s)")
     p_reg.add_argument("--attempt-cap", type=int, default=1_000_000, metavar="A",
                        help="max 3-point samples before giving up (default 1000000)")
     p_reg.add_argument("--workers", type=int, default=1, metavar="W",
@@ -239,8 +236,8 @@ def main(argv=None) -> int:
     except (so3.NotARotation, so3.DegenerateMatrix, registration.AttemptCapExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (FileNotFoundError, IsADirectoryError, PermissionError, ValueError) as exc:
-        # ValueError covers the file format errors, EmptyInput and TooFewPoints
+    except (OSError, ValueError) as exc:
+        # OSError: unreadable/unwritable paths; ValueError: format errors, EmptyInput, TooFewPoints
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

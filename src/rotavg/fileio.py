@@ -4,6 +4,7 @@ Rotation files are plain text, one sample per line, either nine
 row-major matrix entries (``mat9``) or a ``w x y z`` quaternion
 (``quat``).  Lines starting with ``#`` and blank lines are skipped.
 Clouds load from ``.xyz`` (three columns per line) or ASCII ``.ply``.
+Text decodes as UTF-8 (BOM optional); a bad byte fails only a line that needs it.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ def _read_rows(path, k: int, error):
     earlier row wins.
     """
     rows, lines, deferred = [], [], None
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):
@@ -176,7 +177,7 @@ def read_ply(path) -> np.ndarray:
     The result is an (N, 3) array with N >= 1: a malformed header, a
     negative element count and an empty vertex element are all errors.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         magic = fh.readline().strip()
         if magic != "ply":
             raise CloudFormatError("not a PLY file (missing 'ply' magic line)")
@@ -257,8 +258,8 @@ def read_ply(path) -> np.ndarray:
 
 
 def load_cloud(path) -> np.ndarray:
-    """Read a cloud from .ply or .xyz, deciding by content then extension."""
-    with open(path, encoding="utf-8") as fh:
+    """Read a cloud as PLY when its first line is "ply", else as .xyz; the name is not read."""
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         first = fh.readline().strip()
     if first == "ply":
         return read_ply(path)

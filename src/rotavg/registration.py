@@ -124,17 +124,10 @@ class RegistrationScenario:
 
 
 def make_scenario(
-    seed: int,
-    outlier_fraction: float,
-    n_hypotheses: int = 2000,
-    noise_sigma: float = 0.01,
-    ratio_tolerance: float = 0.1,
-    scale: float | None = None,
+    seed: int, outlier_fraction: float, *, scale: float | None = None, **settings
 ) -> RegistrationScenario:
-    """RegistrationScenario with these settings; scale, if given, is its fixed_scale."""
-    return RegistrationScenario(
-        seed, outlier_fraction, n_hypotheses, noise_sigma, ratio_tolerance, scale
-    )
+    """RegistrationScenario with these settings (keywords); scale, if given, is its fixed_scale."""
+    return RegistrationScenario(seed, outlier_fraction, fixed_scale=scale, **settings)
 
 
 def normalize_cloud(points, target_count: int, rng: np.random.Generator) -> np.ndarray:

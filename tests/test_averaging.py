@@ -425,6 +425,20 @@ def test_weiszfeld_descent_and_local_optimality():
         assert cost(res.estimate) <= tangent_grid_min(cost, res.estimate, 0.02, 8) + 1e-3
 
 
+def test_result_summaries_follow_the_data():
+    # iterations and final_cost are read off the arrays, so a copy with other
+    # arrays reports other numbers
+    rng = np.random.default_rng(45)
+    cluster = so3.exp_map(rng.normal(0.0, 0.1, size=(12, 3)))
+    res = weiszfeld_geodesic_l1(cluster, np.eye(3), delta=1e-9, it_max=4)
+    assert res.iterations == 4
+    shorter = dataclasses.replace(
+        res, update_norms=res.update_norms[:2], cost_history=res.cost_history[:3]
+    )
+    assert shorter.iterations == 2
+    assert shorter.final_cost == float(res.cost_history[2]) != res.final_cost
+
+
 def test_weiszfeld_guard_excludes_coincident_sample():
     rng = np.random.default_rng(43)
     R = random_rotations(rng, 1)[0]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -11,6 +12,7 @@ from rotavg.bench import (
     FAILURE_THRESHOLD_DEG,
     TRIAL_CSV_COLUMNS,
     BenchScenario,
+    SweepRow,
     default_estimators,
     desk_preset,
     format_summary_table,
@@ -195,6 +197,20 @@ def test_run_scenario_estimator_exception_is_a_failure():
     errs = np.asarray(rep.per_trial_error_deg)
     assert np.isinf(errs).sum() == 3
     assert rep.failure_count == 3  # inf > 10 degrees
+
+
+def test_report_summaries_follow_the_data():
+    # the summary statistics are read off the per-trial arrays, so a copy
+    # with other errors reports other numbers
+    scen = BenchScenario(n_samples=30, outlier_ratio=0.5, sigma_deg=2.0, n_trials=5, seed=12)
+    rep = run_scenario(scen, robust_average)
+    assert rep.failure_count == 0
+    worse = dataclasses.replace(rep, per_trial_error_deg=rep.per_trial_error_deg + 20.0)
+    assert worse.failure_count == 5
+    assert worse.median_error_deg == rep.median_error_deg + 20.0
+    assert worse.mean_error_deg == float(np.mean(rep.per_trial_error_deg + 20.0))
+    assert worse.median_runtime_ms == rep.median_runtime_ms
+    assert without_timing([SweepRow("tlud", scen, rep)])[0].report.median_runtime_ms == 0.0
 
 
 def test_failure_threshold_value():

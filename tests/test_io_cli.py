@@ -35,6 +35,15 @@ def write_xyz(path, points):
             fh.write(" ".join(f"{v:.17g}" for v in p) + "\n")
 
 
+def binary_ply() -> bytes:
+    """A little-endian binary PLY of two vertices; its body is not valid UTF-8."""
+    header = (
+        "ply\nformat binary_little_endian 1.0\nelement vertex 2\n"
+        "property float x\nproperty float y\nproperty float z\nend_header\n"
+    )
+    return header.encode() + np.array([[0.5, -2.5, 3.0], [1.0, -1.0, 0.25]], "<f4").tobytes()
+
+
 # --------------------------------------------------------------------------
 # rotation files
 
@@ -68,6 +77,17 @@ def test_read_rotations_format_errors_carry_line_numbers(tmp_path):
     path.write_text("1 0 0 0 nan 0 0 0 1\n")
     with pytest.raises(RotationFormatError):
         read_rotations(path)
+
+    # a byte-order mark and an undecodable byte in a comment are harmless;
+    # one on a data line fails that line, in an ASCII-only message
+    identity = b"1 0 0 0 1 0 0 0 1\n"
+    path.write_bytes(b"\xef\xbb\xbf" + identity + b"# caf\xe9\n" + identity)
+    assert np.array_equal(read_rotations(path)[0], np.broadcast_to(np.eye(3), (2, 3, 3)))
+    path.write_bytes(identity + b"1 0 0 0 1 0 0 0 \xff1\n")
+    with pytest.raises(RotationFormatError, match=r"\\udcff") as exc:
+        read_rotations(path)
+    assert exc.value.line == 2
+    assert str(exc.value).isascii()
 
 
 def test_read_rotations_quat(tmp_path):
@@ -155,6 +175,13 @@ def test_read_xyz_strictness(tmp_path):
         with pytest.raises(CloudFormatError):
             read_xyz(path)
 
+    path.write_bytes(b"\xef\xbb\xbf# \xe9t\xe9\n1 2 3\n")
+    assert np.array_equal(read_xyz(path), [[1, 2, 3]])
+    assert np.array_equal(load_cloud(path), [[1, 2, 3]])
+    path.write_bytes(b"1 2 3\n4 \xff 6\n")
+    with pytest.raises(CloudFormatError, match="line 2"):
+        read_xyz(path)
+
 
 PLY_TEXT = """ply
 format ascii 1.0
@@ -222,6 +249,20 @@ def test_read_ply_rejections(tmp_path):
     path.write_text("0 0 0\n")
     with pytest.raises(CloudFormatError):  # xyz handed to the ply reader
         read_ply(path)
+
+    # a real binary body: the header is rejected before the body is decoded
+    path.write_bytes(binary_ply())
+    for reader in (read_ply, load_cloud):
+        with pytest.raises(CloudFormatError, match="only ASCII PLY is supported"):
+            reader(path)
+
+    path.write_bytes(
+        b"ply\nformat ascii 1.0\ncomment \xe9\nelement vertex 1\n"
+        + _XYZ.encode() + b"\nend_header\n0 \xff 0\n"
+    )
+    with pytest.raises(CloudFormatError, match="non-numeric") as exc:
+        read_ply(path)
+    assert str(exc.value).isascii()
 
 
 _XYZ = "property float x\nproperty float y\nproperty float z"
@@ -317,6 +358,16 @@ def test_cli_average_error_paths(tmp_path, capsys):
 
     assert main(["average", str(tmp_path / "missing.txt")]) == 2
     capsys.readouterr()
+
+    # a path through a file, a name too long for the file system, and an
+    # output path that cannot be written after the JSON went to stdout
+    for argv in (
+        ["average", str(bad / "x")],
+        ["average", str(tmp_path / ("x" * 300))],
+        ["average", FIXTURE, "--out-json", str(bad / "out.json")],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_average_quat_format(tmp_path, capsys):
@@ -471,9 +522,25 @@ def test_cli_register_degenerate_cloud_fails_at_once(tmp_path, capsys):
     assert "collinear or all coincide" in err and "attempts" not in err
 
 
-def test_cli_register_missing_file(capsys):
+def test_cli_register_missing_file(tmp_path, capsys):
     assert main(["register", "/does/not/exist.xyz"]) == 2
     capsys.readouterr()
+
+    ply = tmp_path / "binary.ply"
+    ply.write_bytes(binary_ply())
+    for argv in (
+        ["register", str(ply / "x")],
+        ["register", str(tmp_path / ("x" * 300))],
+        ["register", STANDIN, str(tmp_path / ("x" * 300)), "--hypotheses", "10"],
+        ["register", STANDIN, "--points", "100", "--hypotheses", "10",
+         "--out-json", str(ply / "out.json")],
+        ["register", STANDIN, "--points", "100", "--hypotheses", "10",
+         "--out-hypotheses", str(ply / "h.txt")],
+    ):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert main(["register", str(ply)]) == 2
+    assert "only ASCII PLY is supported" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
