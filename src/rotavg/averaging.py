@@ -36,7 +36,6 @@ __all__ = [
     "TludConfig",
     "AveragingResult",
     "tlud_cost_geodesic",
-    "tlud_cost_chordal",
     "proxy_initialize",
     "select_inliers",
     "chordal_l2_mean",
@@ -163,8 +162,8 @@ def _nonnegative(name: str, value: float) -> None:
 
 
 def _count(name: str, value, least: int = 1) -> None:
-    """Raise ValueError unless value is an integer >= least; NaN and 2.5 fail too."""
-    if not (isinstance(value, numbers.Integral) and value >= least):
+    """Raise ValueError unless value is an integer >= least; NaN, 2.5 and True fail too."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
         raise ValueError(f"{name} must be an integer of at least {least}, got {value}")
 
 
@@ -196,14 +195,6 @@ def tlud_cost_geodesic(center: np.ndarray, samples: np.ndarray, epsilon_g: float
     _positive("epsilon_g", epsilon_g)
     d = so3.geodesic_distance(Rs, _as_rotation(center, "center"))
     return float(np.minimum(d, epsilon_g).sum())
-
-
-def tlud_cost_chordal(center: np.ndarray, samples: np.ndarray, epsilon_c: float) -> float:
-    """Sum of chordal (Frobenius) deviations from center, each capped at epsilon_c."""
-    Rs = _as_stack(samples)
-    _positive("epsilon_c", epsilon_c)
-    d = so3.chordal_distance(Rs, _as_rotation(center, "center"))
-    return float(np.minimum(d, epsilon_c).sum())
 
 
 def _dense_costs(X: np.ndarray, epsilon_c: float, block_size: int = 256) -> np.ndarray:

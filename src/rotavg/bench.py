@@ -59,8 +59,8 @@ TRIAL_CSV_COLUMNS = (
 
 
 def _seed(seed: int) -> int:
-    """seed, or ValueError unless it is an integer in [0, 2**64)."""
-    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+    """seed, or ValueError unless it is an integer in [0, 2**64) and not a bool."""
+    if not (isinstance(seed, numbers.Integral) and not isinstance(seed, bool) and 0 <= seed < 2**64):
         raise ValueError(f"seed must be a 64-bit non-negative integer, got {seed}")
     return seed
 

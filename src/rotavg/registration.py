@@ -2,11 +2,12 @@
 
 A similarity-transformed, noisy, heavily outlier-contaminated copy of a
 cloud is aligned back to the original by harvesting thousands of rotation
-hypotheses from random 3-point samples (pre-filtered by a scale-free
-triangle side-ratio test) and then robust-averaging the hypothesis set.
-Correspondences are positional: point i in one cloud pairs with point i in
-the other.  Triples are filtered (_ratio_test) and aligned (_align_batch) a
-batch at a time; harvest_hypotheses is the public way in.
+hypotheses from random 3-point samples and then robust-averaging the
+hypothesis set.  Correspondences are positional: point i in one cloud pairs
+with point i in the other.  _ratio_test alone decides which triples are
+kept: their side ratios agree and neither triangle is flat, rules that no
+unit of the clouds changes.  _align_batch aligns the kept triples in one
+call; harvest_hypotheses is the public way in.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ __all__ = [
     "register_rotation",
 ]
 
-# Triangle sides shorter than this make the ratio test meaningless.
-_SIDE_TOL = 1e-9
-
-# Second singular value of the (normalized) cross-covariance below which the
-# three points are treated as collinear.
-_COLLINEAR_TOL = 1e-9
+# Relative flatness below which points fix no rotation: a triangle is flat
+# when its height is below this share of its longest side, and a cloud when
+# its second singular value is below this share of its first.
+_FLAT_TOL = 1e-9
 
 # Fixed tags deriving independent RNG streams from one scenario seed.
 _TAG_CORRUPT = 0
@@ -59,8 +58,9 @@ class TooFewPoints(ValueError):
 
 class AttemptCapExceeded(RuntimeError):
     """Hypothesis harvesting ran out of attempts before filling its quota:
-    the ratio tolerance is too strict for the data, or too few triples are
-    free of coincident or collinear points to be aligned.
+    the ratio tolerance is too strict for the data, or too many triples are
+    flat (height below 1e-9 of the longest side, coincident points
+    included), which fixes no rotation.
 
     .attempts and .accepted count the triples drawn and the hypotheses kept.
     """
@@ -193,15 +193,18 @@ def synthetic_pair(
     return src, corrupt_cloud(src, scen), scen
 
 
-def _ratio_test(cols: np.ndarray, idx: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """(passed, degenerate) masks of the ratio test on triangles idx (m, 3).
+def _ratio_test(cols: np.ndarray, idx: np.ndarray, tol: float) -> np.ndarray:
+    """Mask of the triangles idx (m, 3) that are kept, the only filter on triples.
 
-    A row passes when its three per-side length ratios target/source agree:
-    max(ratios) / min(ratios) - 1 <= tol, which no scale of either triangle
-    changes.  cols is (6, n): source x, y, z rows, then target x, y, z rows.
-    Sides [|p1-p0|, |p2-p1|, |p0-p2|] are sqrt(dx*dx + dy*dy + dz*dz) on 1-D
-    columns, bitwise np.linalg.norm of the gathered points.  A degenerate
-    row has a side shorter than _SIDE_TOL and never passes.
+    A row passes when its three per-side length ratios target/source agree,
+    max(ratios) / min(ratios) - 1 <= tol, and neither triangle is flat:
+    |(p1-p0) x (p2-p0)| < _FLAT_TOL * longest_side**2, or a longest side of
+    0.  No unit of either cloud changes either rule.  cols is (6, n): source
+    x, y, z rows, then target x, y, z rows.  Sides [|p1-p0|, |p2-p1|,
+    |p0-p2|] are sqrt(dx*dx + dy*dy + dz*dz) on 1-D columns, bitwise
+    np.linalg.norm of the gathered points.  Only rows whose ratios agree are
+    tested for flatness, on edges divided by the longest side so that no
+    product overflows.
     """
     p = cols.take(idx.T, axis=1)  # (coordinate row, vertex, attempt)
     sides = []
@@ -209,11 +212,16 @@ def _ratio_test(cols: np.ndarray, idx: np.ndarray, tol: float) -> tuple[np.ndarr
         e = p[:, a] - p[:, b]
         e *= e
         sides.append(np.sqrt(e[0::3] + e[1::3] + e[2::3]))  # rows: source, target
-    degenerate = np.minimum(np.minimum(sides[0], sides[1]), sides[2]).min(axis=0) < _SIDE_TOL
     with np.errstate(divide="ignore", invalid="ignore"):
         r0, r1, r2 = (side[1] / side[0] for side in sides)
         spread = np.maximum(np.maximum(r0, r1), r2) / np.minimum(np.minimum(r0, r1), r2) - 1.0
-    return ~degenerate & (spread <= tol), degenerate
+        keep = spread <= tol
+        longest = np.maximum(np.maximum(sides[0], sides[1]), sides[2])[:, None, None, keep]
+        q = p[:, :, keep].reshape(2, 3, 3, -1)  # (cloud, coordinate, vertex, row)
+        edges = (q[:, :, 1:] - q[:, :, :1]) / longest  # a longest side of 0 gives NaN: flat
+        twice_area = np.linalg.norm(np.cross(edges[:, :, 0], edges[:, :, 1], axis=1), axis=1)
+    keep[keep] = (twice_area >= _FLAT_TOL).all(axis=0)
+    return keep
 
 
 def _align_batch(sp: np.ndarray, dp: np.ndarray) -> np.ndarray:
@@ -222,18 +230,14 @@ def _align_batch(sp: np.ndarray, dp: np.ndarray) -> np.ndarray:
     Each triple is centered and divided by its RMS radius, so scale and
     translation do not matter, and the cross-covariance sum(dst_i' @ src_i'.T)
     is projected onto SO(3): the rotation maps src directions onto dst
-    directions.  Triples whose points coincide or are collinear (no unique
-    rotation fits them) are dropped; the rest keep their order.
+    directions.  The triples must have passed _ratio_test, so none is flat.
     """
     sc = sp - sp.mean(axis=1, keepdims=True)
     dc = dp - dp.mean(axis=1, keepdims=True)
     srms = np.sqrt((sc * sc).sum(axis=(1, 2)) / 3.0)
     drms = np.sqrt((dc * dc).sum(axis=(1, 2)) / 3.0)
-    apart = np.minimum(srms, drms) >= 1e-12  # else the points coincide
-    sc, dc, srms, drms = sc[apart], dc[apart], srms[apart], drms[apart]
     H = np.einsum("bif,big->bfg", dc / drms[:, None, None], sc / srms[:, None, None])
-    R, sv, _ = so3.nearest_rotations(H)
-    return R[sv[:, 1] > _COLLINEAR_TOL]
+    return so3.nearest_rotations(H)[0]
 
 
 def _distinct_triples(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
@@ -247,35 +251,24 @@ def _distinct_triples(rng: np.random.Generator, n: int, m: int) -> np.ndarray:
         idx[dup] = rng.integers(0, n, size=(k, 3))
 
 
-def _harvest_batch(
-    src: np.ndarray, dst: np.ndarray, cols: np.ndarray, tol: float, rng: np.random.Generator, m: int
-) -> np.ndarray:
-    """Vectorized equivalent of m passes of {sample triple, ratio-check, align}.
-
-    cols is the _ratio_test layout of src and dst; only accepted triples are
-    gathered as points.  Degenerate or collinear triples count as failed
-    checks.  Accepted rotations keep attempt order.
-    """
-    idx = _distinct_triples(rng, len(src), m)
-    kept = idx[_ratio_test(cols, idx, tol)[0]]
-    return _align_batch(src[kept], dst[kept])
-
-
 def harvest_hypotheses(
     src, dst, scen: RegistrationScenario, attempt_cap: int = 1_000_000
 ) -> np.ndarray:
     """Collect scen.n_hypotheses rotations from ratio-filtered 3-point samples.
 
-    Repeats {sample 3 distinct indices uniformly, ratio-check the two
-    triangles, align and keep the rotation if it passes} until the quota is
-    met.  Attempts run in batches of _HARVEST_BATCH = 4096, the last one cut
-    short by attempt_cap, one after another.  Each batch has its own RNG
-    stream derived from (scenario seed, batch index), and accepted
-    hypotheses concatenate in batch order, so a seed always yields the same
-    hypotheses.  One DEBUG record on the "rotavg.registration" logger
-    reports batches, attempts, accepted count and acceptance rate.  A cloud
-    whose points coincide, or lie within about 1e-9 (relative) of a line,
-    is rejected first: its hypotheses would be set by rounding.
+    Samples index triples (3 distinct indices, uniformly) and keeps those
+    that _ratio_test passes: the two triangles' side ratios agree and
+    neither is flat (height below 1e-9 of its longest side, coincident
+    points included), a rule no unit of the clouds changes.  Attempts run in
+    batches of _HARVEST_BATCH = 4096, the last one cut short by attempt_cap,
+    one after another, until the kept triples fill the quota.  Each batch
+    has its own RNG stream derived from (scenario seed, batch index), and
+    kept triples concatenate in batch order, so a seed always yields the
+    same hypotheses.  The first n_hypotheses are then aligned in one call.
+    One DEBUG record on the "rotavg.registration" logger reports batches,
+    attempts, accepted count and acceptance rate.  A cloud whose points
+    coincide, or lie within about 1e-9 (relative) of a line, is rejected
+    first: its hypotheses would be set by rounding.
 
     Raises:
         so3.DegenerateMatrix: when either cloud is collinear or coincident.
@@ -286,23 +279,22 @@ def harvest_hypotheses(
     if len(s) != len(d):
         raise ValueError(f"clouds must correspond point-for-point, got {len(s)} vs {len(d)}")
     for name, p in (("src", s), ("dst", d)):
-        c = p - p.mean(axis=0)
-        norm = np.linalg.norm(c)
-        if norm < 1e-12 or np.linalg.svd(c / norm, compute_uv=False)[1] <= _COLLINEAR_TOL:
+        sv = np.linalg.svd(p - p.mean(axis=0), compute_uv=False)
+        if not sv[1] > _FLAT_TOL * sv[0]:
             raise so3.DegenerateMatrix(f"{name} points are collinear or all coincide")
     _count("attempt_cap", attempt_cap)
     need = scen.n_hypotheses
     cols = np.ascontiguousarray(np.concatenate([s, d], axis=1).T)
-    chunks: list[np.ndarray] = []
+    kept: list[np.ndarray] = []
     accepted = attempts = 0
     while accepted < need and attempts < attempt_cap:
         m = min(_HARVEST_BATCH, attempt_cap - attempts)
-        rng = _stream(scen.seed, _TAG_HARVEST, len(chunks))  # one chunk per batch
-        chunks.append(_harvest_batch(s, d, cols, scen.ratio_tolerance, rng, m))
-        accepted += len(chunks[-1])
+        idx = _distinct_triples(_stream(scen.seed, _TAG_HARVEST, len(kept)), len(s), m)
+        kept.append(idx[_ratio_test(cols, idx, scen.ratio_tolerance)])  # one entry per batch
+        accepted += len(kept[-1])
         attempts += m
     rate = accepted / attempts
-    stats = dict(batches=len(chunks), attempts=attempts, accepted=accepted, acceptance_rate=rate)
+    stats = dict(batches=len(kept), attempts=attempts, accepted=accepted, acceptance_rate=rate)
     _log.debug("harvest %s", stats, extra=stats)
     if accepted < need:
         raise AttemptCapExceeded(
@@ -311,7 +303,8 @@ def harvest_hypotheses(
             "or the points may coincide or be collinear",
             attempts, accepted,
         )
-    return np.concatenate(chunks)[:need]
+    idx = np.concatenate(kept)[:need]
+    return _align_batch(s[idx], d[idx])
 
 
 def register_rotation(

@@ -141,15 +141,14 @@ def horn_rotation(src, dst) -> np.ndarray:
     return quat_to_matrix(vecs[:, -1])
 
 
-def harvest_triples_scalar(src, dst, triples, tol: float, side_tol: float = 1e-9,
-                           flat_tol: float = 1e-9) -> list:
+def harvest_triples_scalar(src, dst, triples, tol: float, flat_tol: float = 1e-9) -> list:
     """Rotations of the index triples that pass the side-ratio test, one by one.
 
-    Sides by math.dist; a triple passes when no side of either triangle is
-    below side_tol and max(r)/min(r) - 1 <= tol for the ratios r = dst/src.
-    A triangle is collinear when twice its area, |(p1-p0) x (p2-p0)|, is
-    below flat_tol times its longest side squared; such triples are dropped.
-    The rest get Horn's rotation between the centered, RMS-normalized points.
+    A triangle is flat when twice its area, |(p1-p0) x (p2-p0)|, is below
+    flat_tol times its longest side squared, or its longest side is 0; a
+    triple with either triangle flat is dropped.  Sides by math.dist; the
+    rest pass when max(r)/min(r) - 1 <= tol for the ratios r = dst/src, and
+    get Horn's rotation between the centered, RMS-normalized points.
     """
     out = []
     for tri in triples:
@@ -157,22 +156,20 @@ def harvest_triples_scalar(src, dst, triples, tol: float, side_tol: float = 1e-9
         b = [[float(v) for v in dst[i]] for i in tri]
         ls = [math.dist(a[1], a[0]), math.dist(a[2], a[1]), math.dist(a[0], a[2])]
         ld = [math.dist(b[1], b[0]), math.dist(b[2], b[1]), math.dist(b[0], b[2])]
-        if min(ls + ld) < side_tol:
-            continue
+        if _flat(a, max(ls), flat_tol) or _flat(b, max(ld), flat_tol):
+            continue  # every side of a triangle that is not flat is > 0
         r = [y / x for x, y in zip(ls, ld)]
         if max(r) / min(r) - 1.0 > tol:
-            continue
-        if _collinear(a, max(ls), flat_tol) or _collinear(b, max(ld), flat_tol):
             continue
         out.append(horn_rotation(_unit_rms(a), _unit_rms(b)))
     return out
 
 
-def _collinear(p, longest: float, flat_tol: float) -> bool:
+def _flat(p, longest: float, flat_tol: float) -> bool:
     u = [p[1][k] - p[0][k] for k in range(3)]
     v = [p[2][k] - p[0][k] for k in range(3)]
     cross = [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
-    return math.hypot(*cross) < flat_tol * longest * longest
+    return longest == 0.0 or math.hypot(*cross) < flat_tol * longest * longest
 
 
 def _unit_rms(p) -> np.ndarray:
@@ -203,10 +200,6 @@ def geodesic_scalar(A, B) -> float:
     c = (t - 1.0) / 2.0
     c = min(1.0, max(-1.0, c))
     return math.acos(c)
-
-
-def tlud_chordal_scalar(center, samples, eps: float) -> float:
-    return sum(min(eps, frobenius_scalar(s, center)) for s in samples)
 
 
 def tlud_geodesic_scalar(center, samples, eps: float) -> float:

@@ -15,7 +15,6 @@ from rotavg.averaging import (
     proxy_initialize,
     robust_average,
     select_inliers,
-    tlud_cost_chordal,
     tlud_cost_geodesic,
     weiszfeld_geodesic_l1,
 )
@@ -26,7 +25,6 @@ from _oracles import (
     proxy_scalar,
     robust_average_stages,
     tangent_grid_min,
-    tlud_chordal_scalar,
     tlud_geodesic_scalar,
 )
 
@@ -68,9 +66,11 @@ def test_config_validation():
         dict(it_max=0),
         dict(it_max=2.5),
         dict(it_max=math.nan),
+        dict(it_max=True),
         dict(realternate=-1),
         dict(realternate=1.5),
         dict(realternate=math.nan),
+        dict(realternate=False),
     ):
         with pytest.raises(ValueError):
             TludConfig(**bad)
@@ -85,10 +85,8 @@ def test_tlud_costs_trivial_cases():
     R = random_rotations(rng, 1)[0]
     three = np.stack([R, R, R])
     assert tlud_cost_geodesic(R, three, 0.3554) == 0.0
-    assert tlud_cost_chordal(R, three, 0.5) == 0.0
     half_turn = np.diag([1.0, -1.0, -1.0])
     assert np.isclose(tlud_cost_geodesic(np.eye(3), half_turn[None], 0.3554), 0.3554)
-    assert np.isclose(tlud_cost_chordal(np.eye(3), half_turn[None], 0.5), 0.5)
 
 
 def test_tlud_costs_match_scalar_loops():
@@ -96,11 +94,6 @@ def test_tlud_costs_match_scalar_loops():
     for _ in range(10):
         samples = random_rotations(rng, 20)
         center = random_rotations(rng, 1)[0]
-        assert np.isclose(
-            tlud_cost_chordal(center, samples, 0.5),
-            tlud_chordal_scalar(center, samples, 0.5),
-            atol=1e-12,
-        )
         assert np.isclose(
             tlud_cost_geodesic(center, samples, 0.3554),
             tlud_geodesic_scalar(center, samples, 0.3554),
@@ -124,8 +117,6 @@ def test_tlud_costs_saturate_same_elements():
 def test_tlud_cost_empty_input():
     with pytest.raises(EmptyInput):
         tlud_cost_geodesic(np.eye(3), np.empty((0, 3, 3)), 0.3554)
-    with pytest.raises(EmptyInput):
-        tlud_cost_chordal(np.eye(3), np.empty((0, 3, 3)), 0.5)
 
 
 # --------------------------------------------------------------------------
@@ -184,11 +175,11 @@ def test_every_stage_rejects_an_empty_stack(call):
         lambda Rs: select_inliers(np.eye(3), Rs),
         chordal_l2_mean,
         lambda Rs: weiszfeld_geodesic_l1(Rs, np.eye(3)),
-        lambda Rs: tlud_cost_chordal(np.eye(3), Rs, 0.5),
+        lambda Rs: tlud_cost_geodesic(np.eye(3), Rs, 0.3554),
         geodesic_l1_mean,
         robust_average,
     ],
-    ids=["proxy", "select_inliers", "chordal_l2_mean", "weiszfeld", "tlud_chordal",
+    ids=["proxy", "select_inliers", "chordal_l2_mean", "weiszfeld", "tlud_geodesic",
          "geodesic_l1_mean", "robust_average"],
 )
 def test_stack_shapes(call):
@@ -236,11 +227,11 @@ _NAN_MATRIX = np.full((3, 3), np.nan)
     [
         (lambda Rs: select_inliers(_NAN_MATRIX, Rs), "center"),
         (lambda Rs: tlud_cost_geodesic(_NAN_MATRIX, Rs, 0.3554), "center"),
-        (lambda Rs: tlud_cost_chordal(3.0 * np.eye(3), Rs, 0.5), "center"),
-        (lambda Rs: tlud_cost_chordal(np.eye(3)[None], Rs, 0.5), "center"),
+        (lambda Rs: tlud_cost_geodesic(3.0 * np.eye(3), Rs, 0.3554), "center"),
+        (lambda Rs: tlud_cost_geodesic(np.eye(3)[None], Rs, 0.3554), "center"),
         (lambda Rs: weiszfeld_geodesic_l1(Rs[:2], _NAN_MATRIX), "seed"),
     ],
-    ids=["select_inliers-nan", "tlud_geodesic-nan", "tlud_chordal-3I", "tlud_chordal-stack",
+    ids=["select_inliers-nan", "tlud_geodesic-nan", "tlud_geodesic-3I", "tlud_geodesic-stack",
          "weiszfeld-nan-seed"],
 )
 def test_center_and_seed_must_be_rotations(call, name):
@@ -257,13 +248,13 @@ def test_center_and_seed_must_be_rotations(call, name):
         lambda Rs: proxy_initialize(Rs, math.nan),
         lambda Rs: select_inliers(np.eye(3), Rs, math.nan),
         lambda Rs: select_inliers(np.eye(3), Rs, -1.0),
-        lambda Rs: tlud_cost_chordal(np.eye(3), Rs, math.nan),
+        lambda Rs: tlud_cost_geodesic(np.eye(3), Rs, math.nan),
         lambda Rs: tlud_cost_geodesic(np.eye(3), Rs, -1.0),
         lambda Rs: weiszfeld_geodesic_l1(Rs[:2], np.eye(3), delta=math.nan),
         lambda Rs: TludConfig(delta=math.nan),
     ],
     ids=["proxy-nan-n50", "proxy-nan-n1200", "select_inliers-nan", "select_inliers-negative",
-         "tlud_chordal-nan", "tlud_geodesic-negative", "weiszfeld-nan-delta", "config-nan-delta"],
+         "tlud_geodesic-nan", "tlud_geodesic-negative", "weiszfeld-nan-delta", "config-nan-delta"],
 )
 def test_thresholds_must_be_positive(call):
     # before this check these raised IndexError, returned [], nan or -1200.0,
@@ -326,7 +317,6 @@ def test_chordal_distance_and_its_users_ignore_memory_layout():
     want = (
         so3.chordal_distance(samples, center).tobytes(),
         select_inliers(center, samples, eps_c).tobytes(),
-        tlud_cost_chordal(center, samples, eps_c),
     )
     layouts = (np.asfortranarray, lambda a: np.swapaxes(np.swapaxes(a, -1, -2).copy(), -1, -2))
     for view in layouts:
@@ -334,7 +324,6 @@ def test_chordal_distance_and_its_users_ignore_memory_layout():
             got = (
                 so3.chordal_distance(Rs, C).tobytes(),
                 select_inliers(C, Rs, eps_c).tobytes(),
-                tlud_cost_chordal(C, Rs, eps_c),
             )
             assert got == want
 

@@ -55,9 +55,11 @@ def test_scenario_validation():
         ("n_trials", 0),
         ("n_trials", 2.5),
         ("n_trials", math.nan),
+        ("n_trials", True),
         ("seed", -1),
         ("seed", 2**64),
         ("seed", 1.5),
+        ("seed", True),
     ):
         with pytest.raises(ValueError, match=field):
             BenchScenario(**{**ok, field: bad})

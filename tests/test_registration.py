@@ -2,6 +2,7 @@ import dataclasses
 import logging
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -33,9 +34,8 @@ def columns(src, dst):
 
 
 def ratio_check(src, dst, tol):
-    """(passed, degenerate) of the ratio test on one corresponding triangle."""
-    passed, degenerate = registration._ratio_test(columns(src, dst), np.array([[0, 1, 2]]), tol)
-    return bool(passed[0]), bool(degenerate[0])
+    """Whether the ratio test keeps one corresponding triangle."""
+    return bool(registration._ratio_test(columns(src, dst), np.array([[0, 1, 2]]), tol)[0])
 
 
 # --------------------------------------------------------------------------
@@ -59,10 +59,10 @@ def test_scenario_validation():
             make_scenario(seed=0, outlier_fraction=0.5, noise_sigma=bad)
     with pytest.raises(ValueError, match="ratio_tolerance"):
         make_scenario(seed=0, outlier_fraction=0.5, ratio_tolerance=math.nan)
-    for bad in (0, 2.5, math.nan):
+    for bad in (0, 2.5, math.nan, True):
         with pytest.raises(ValueError, match="n_hypotheses"):
             make_scenario(seed=0, outlier_fraction=0.5, n_hypotheses=bad)
-    for bad in (-3, 1.5, math.nan, 2**64):
+    for bad in (-3, 1.5, math.nan, 2**64, True):
         with pytest.raises(ValueError, match="seed"):
             make_scenario(seed=bad, outlier_fraction=0.5)
         with pytest.raises(ValueError, match="seed"):
@@ -174,7 +174,7 @@ def test_normalize_cloud_errors():
         normalize_cloud(blob(rng, 10), 11, rng)
     with pytest.raises(ValueError):
         normalize_cloud(np.zeros((5, 3)), 5, rng)  # zero extent
-    for bad in (0, 10.5, math.nan):
+    for bad in (0, 10.5, math.nan, True):
         with pytest.raises(ValueError, match="target_count"):
             normalize_cloud(blob(rng, 20), bad, rng)
     with pytest.raises(ValueError, match="point array"):
@@ -242,23 +242,32 @@ def test_triangle_ratio_check_similar_and_stretched():
     rng = np.random.default_rng(76)
     src = rng.normal(size=(3, 3))
     # scaling is a similarity: ratios agree to rounding error
-    assert ratio_check(src, 3.0 * src, tol=1e-12) == (True, False)
+    assert ratio_check(src, 3.0 * src, tol=1e-12) is True
     R = so3.exp_map(rng.normal(size=3))
-    assert ratio_check(src, src @ R.T, tol=1e-9) == (True, False)
-    # stretch one vertex away: side ratios disagree by far more than 10%
+    assert ratio_check(src, src @ R.T, tol=1e-9) is True
+    # stretch one vertex away: side ratios disagree by far more than 10%,
+    # and only the ratios reject it, since with the filter off it passes
     bad = src.copy()
     bad[0] = bad[1] + 2.0 * (bad[0] - bad[1])
-    assert ratio_check(src, bad, tol=0.1) == (False, False)
+    assert ratio_check(src, bad, tol=0.1) is False
+    assert ratio_check(src, bad, tol=math.inf) is True
 
 
 def test_triangle_ratio_check_degenerate():
     src = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
     dst = src.copy()
     dst[1] = dst[0]  # zero-length side
-    # flagged in either cloud, and never passed, even with the filter off
+    # rejected in either cloud, even with the filter off
     for tol in (0.1, math.inf):
-        assert ratio_check(src, dst, tol) == (False, True)
-        assert ratio_check(dst, src, tol) == (False, True)
+        assert ratio_check(src, dst, tol) is False
+        assert ratio_check(dst, src, tol) is False
+        assert ratio_check(np.zeros((3, 3)), np.zeros((3, 3)), tol) is False  # longest side 0
+    # flat means a height below 1e-9 of the longest side, at any unit
+    for height, kept in ((2e-9, True), (5e-10, False)):
+        tri = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.5, height, 0.0]])
+        for unit in (1e-12, 1.0, 1e150):
+            assert ratio_check(src, unit * tri, math.inf) is kept
+            assert ratio_check(unit * tri, src, math.inf) is kept
 
 
 def test_triangle_filter_accepts_inlier_triples_under_noise():
@@ -274,9 +283,9 @@ def test_triangle_filter_accepts_inlier_triples_under_noise():
         sides = np.linalg.norm(src[idx] - np.roll(src[idx], 1, axis=0), axis=1)
         if sides.min() >= 0.2:
             triples.append(idx)
-    passed, degenerate = registration._ratio_test(columns(src, dst), np.array(triples), 0.1)
-    assert not degenerate.any()
-    assert passed.mean() > 0.90
+    cols, triples = columns(src, dst), np.array(triples)
+    assert registration._ratio_test(cols, triples, math.inf).all()  # none is flat
+    assert registration._ratio_test(cols, triples, 0.1).mean() > 0.90
 
 
 # --------------------------------------------------------------------------
@@ -329,14 +338,18 @@ def test_align_three_points_matches_horn_oracle_under_noise():
 def test_align_three_points_collinear():
     line = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [2.0, 2.0, 2.0]])
     same = np.ones((3, 3))
-    for triple in (line, same):
-        assert registration._align_batch(triple[None], triple[None]).shape == (0, 3, 3)
-    # dropped rows leave the others in order
     rng = np.random.default_rng(91)
     good = rng.normal(size=(2, 3, 3))
     truth = so3.exp_map(rng.normal(size=(4, 3)))
     batch = np.array([line, good[0], same, good[1]])
-    est = registration._align_batch(batch, batch @ truth.transpose(0, 2, 1))
+    src, dst = batch.reshape(12, 3), (batch @ truth.transpose(0, 2, 1)).reshape(12, 3)
+    idx = np.arange(12).reshape(4, 3)
+    # collinear and coincident triples never reach alignment, even with the filter off
+    for tol in (0.1, math.inf):
+        kept = registration._ratio_test(columns(src, dst), idx, tol)
+        assert kept.tolist() == [False, True, False, True]
+    # the kept rows align in their order
+    est = registration._align_batch(src[idx[kept]], dst[idx[kept]])
     assert est.shape == (2, 3, 3)
     assert np.allclose(est, truth[[1, 3]], atol=1e-9)
 
@@ -417,28 +430,32 @@ def test_harvest_input_validation():
             harvest_hypotheses(cloud, cloud, scen, attempt_cap=bad)
 
 
-def _oracle_batches(src, dst, seed, n_batches, tol=0.1, m=4096):
-    """Check _harvest_batch against the scalar oracle on the same triples.
+def _oracle_batches(src, dst, seed, n_batches, tol=0.1):
+    """Check the harvest against the scalar oracle on the same triples.
 
-    Returns the (ratio-passed, degenerate, accepted) totals over the batches.
+    Triple by triple, _ratio_test keeps what the oracle keeps, and the
+    harvest of all kept triples over n_batches returns the oracle's
+    rotations.  Returns the sampled triples and the masks of those kept
+    with the filter off (not flat) and on, concatenated over the batches.
     """
     from _oracles import harvest_triples_scalar
 
     cols = columns(src, dst)
-    passed = degenerate = accepted = 0
+    triples, solid, kept, want = [], [], [], []
     for b in range(n_batches):
-        stream = lambda: registration._stream(seed, registration._TAG_HARVEST, b)
-        got = registration._harvest_batch(src, dst, cols, tol, stream(), m)
-        idx = registration._distinct_triples(stream(), len(src), m)
-        want = harvest_triples_scalar(src, dst, idx, tol)
-        assert len(got) == len(want), b
-        if want:
-            assert np.abs(got - np.array(want)).max() < 1e-9, b
-        ok, bad = registration._ratio_test(cols, idx, tol)
-        passed += int(ok.sum())
-        degenerate += int(bad.sum())
-        accepted += len(got)
-    return passed, degenerate, accepted
+        rng = registration._stream(seed, registration._TAG_HARVEST, b)
+        idx = registration._distinct_triples(rng, len(src), registration._HARVEST_BATCH)
+        rotations = [harvest_triples_scalar(src, dst, [t], tol) for t in idx]
+        mask = registration._ratio_test(cols, idx, tol)
+        assert mask.tolist() == [bool(r) for r in rotations], b
+        triples.append(idx)
+        solid.append(registration._ratio_test(cols, idx, math.inf))
+        kept.append(mask)
+        want += [r[0] for r in rotations if r]
+    scen = RegistrationScenario(seed, n_hypotheses=len(want), ratio_tolerance=tol)
+    got = harvest_hypotheses(src, dst, scen, attempt_cap=n_batches * registration._HARVEST_BATCH)
+    assert np.abs(got - np.array(want)).max() < 1e-9
+    return np.concatenate(triples), np.concatenate(solid), np.concatenate(kept)
 
 
 @pytest.mark.parametrize("fraction, seed", [(0.90, 16), (0.96, 17)])
@@ -447,8 +464,8 @@ def test_harvest_batch_matches_scalar_oracle(fraction, seed):
     src = normalize_cloud(load_cloud(DATA), 1000, rng)
     scen = make_scenario(seed=seed, outlier_fraction=fraction)
     dst = corrupt_cloud(src, scen)
-    passed, _, accepted = _oracle_batches(src, dst, seed, n_batches=3)
-    assert accepted == passed > 0
+    _, solid, kept = _oracle_batches(src, dst, seed, n_batches=3)
+    assert solid.all() and kept.any()  # only the ratios reject a triple here
 
 
 def test_harvest_batch_oracle_drops_duplicated_points():
@@ -457,9 +474,9 @@ def test_harvest_batch_oracle_drops_duplicated_points():
     src = np.concatenate([base, base, base + 1e-11])  # sides 0 and ~2e-11
     scen = make_scenario(seed=18, outlier_fraction=0.0, noise_sigma=0.0)
     dst = corrupt_cloud(src, scen)
-    passed, degenerate, accepted = _oracle_batches(src, dst, 18, n_batches=1)
-    assert degenerate > 0
-    assert accepted == passed > 3000
+    _, solid, kept = _oracle_batches(src, dst, 18, n_batches=1)
+    assert not solid.all()
+    assert np.array_equal(kept, solid) and kept.sum() > 3000
 
 
 def test_harvest_batch_oracle_drops_collinear_triples():
@@ -469,8 +486,22 @@ def test_harvest_batch_oracle_drops_collinear_triples():
     src = np.concatenate([base, line])
     scen = make_scenario(seed=19, outlier_fraction=0.5)
     dst = corrupt_cloud(src, scen)
-    passed, _, accepted = _oracle_batches(src, dst, 19, n_batches=2)
-    assert 0 < accepted < passed  # collinear triples pass the ratio test, then drop
+    triples, solid, kept = _oracle_batches(src, dst, 19, n_batches=2)
+    on_line = (triples >= 200).all(axis=1)
+    assert on_line.any() and not solid[on_line].any()  # dropped even with the filter off
+    assert kept.any()
+
+
+def test_harvest_does_not_depend_on_units():
+    # flatness is relative, so no unit of the clouds decides a triple; with
+    # an absolute side tolerance the 1e-10 clouds kept none and hit the cap
+    src, dst, scen = synthetic_pair(load_cloud(DATA), 22, 0.9, n_points=300, n_hypotheses=300)
+    want = harvest_hypotheses(src, dst, scen)
+    for unit in (1e-10, 1e150):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = harvest_hypotheses(unit * src, unit * dst, scen)
+        assert np.abs(got - want).max() < 1e-12, unit
 
 
 def test_harvest_reports_counts(caplog):

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotavg import averaging, so3
-from rotavg.averaging import TludConfig, robust_average, tlud_cost_chordal
+from rotavg.averaging import TludConfig, robust_average
 from rotavg.bench import BenchScenario, generate_trial, random_outlier
 
 SYMMETRY = settings(max_examples=25, deadline=None)
@@ -66,7 +66,7 @@ def test_rotation_rotates_the_grid_estimate(outlier_ratio, seed, side):
 @given(samples=trials(), data=st.data())
 def test_shuffle_leaves_the_estimate(samples, data):
     eps = TludConfig().epsilon_c
-    costs = np.sort([tlud_cost_chordal(R, samples, eps) for R in samples])
+    costs = np.sort(averaging._dense_costs(samples.reshape(-1, 9), eps))  # the proxy's own costs
     assume(len(costs) == 1 or costs[1] - costs[0] >= 1e-6)
     perm = _rng(data.draw).permutation(len(samples))
     res = robust_average(samples)
